@@ -14,8 +14,9 @@ use crate::domain::{AbsState, AbsVal, Interval};
 use gillian_engine::cfg::Cfg;
 use gillian_engine::gil::{Cmd, LogicCmd, Proc, Prog};
 use gillian_engine::Asrt;
-use gillian_solver::{BinOp, Expr, Symbol, UnOp};
+use gillian_solver::{BinOp, Expr, StableHasher, Symbol, UnOp};
 use std::collections::{BTreeMap, VecDeque};
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// Hook resolving a state-model action to integer result bounds:
@@ -401,7 +402,8 @@ fn flow(proc: &Proc, opts: &AnalysisOptions, i: usize, s: &AbsState) -> Vec<(usi
 pub struct ProcInvariants {
     pub name: Symbol,
     pub entry: Vec<Option<AbsState>>,
-    /// FNV-1a hash of the canonical rendering; stable across processes.
+    /// [`StableHasher`] hash of the canonical rendering; stable across
+    /// processes.
     pub fingerprint: u64,
 }
 
@@ -501,7 +503,8 @@ pub fn analyze_proc(proc: &Proc, opts: &AnalysisOptions) -> ProcInvariants {
 #[derive(Clone, Debug, Default)]
 pub struct InvariantTable {
     pub procs: BTreeMap<Symbol, ProcInvariants>,
-    /// Combined FNV-1a fingerprint over all procedures in name order.
+    /// Combined [`StableHasher`] fingerprint over all procedures in name
+    /// order.
     pub fingerprint: u64,
 }
 
@@ -536,28 +539,19 @@ pub fn analyze_prog(prog: &Prog, opts: &AnalysisOptions) -> InvariantTable {
 
 // ---- fingerprints ------------------------------------------------------
 
-const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-const FNV_PRIME: u64 = 0x100000001b3;
-
-pub(crate) fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
-    let mut h = h;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
 fn fingerprint_entries(name: Symbol, entry: &[Option<AbsState>]) -> u64 {
-    let mut h = fnv1a(FNV_OFFSET, name.as_str().as_bytes());
+    let mut h = StableHasher::new();
+    name.as_str().hash(&mut h);
     for s in entry {
-        h = fnv1a(h, b"|");
         match s {
-            None => h = fnv1a(h, b"!"),
-            Some(s) => h = fnv1a(h, s.render().as_bytes()),
+            None => h.write_u8(0),
+            Some(s) => {
+                h.write_u8(1);
+                s.render().hash(&mut h);
+            }
         }
     }
-    h
+    h.finish()
 }
 
 fn table_fingerprint(procs: &BTreeMap<Symbol, ProcInvariants>) -> u64 {
@@ -568,12 +562,12 @@ fn table_fingerprint(procs: &BTreeMap<Symbol, ProcInvariants>) -> u64 {
         .map(|(k, v)| (k.as_str(), v.fingerprint))
         .collect();
     entries.sort_by_key(|(k, _)| *k);
-    let mut h = FNV_OFFSET;
+    let mut h = StableHasher::new();
     for (name, fp) in entries {
-        h = fnv1a(h, name.as_bytes());
-        h = fnv1a(h, &fp.to_le_bytes());
+        name.hash(&mut h);
+        h.write_u64(fp);
     }
-    h
+    h.finish()
 }
 
 #[cfg(test)]

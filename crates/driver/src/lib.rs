@@ -62,8 +62,8 @@ use gillian_rust::types::{TypeRegistry, Types};
 use gillian_rust::verifier::{CaseReport, Verifier, VerifierOptions};
 use gillian_solver::Symbol;
 use proof_cache::{
-    namespace_fingerprint, record_matches, stable_fingerprint_key, stable_target_fingerprint,
-    CacheRecord, DepEntry, RunCounters,
+    find_record, fingerprint_reads, namespace_fingerprint, verified_record, CacheRecord, DepKey,
+    RunCounters,
 };
 use rust_ir::{LayoutOracle, Program, Ty};
 use std::path::PathBuf;
@@ -165,6 +165,21 @@ pub struct CaseOutcome {
 }
 
 impl CaseOutcome {
+    /// The verified outcome a matching proof-cache record stands for. It
+    /// carries the cold proving time, so cached reports keep a meaningful
+    /// Table 1 "Time" column.
+    pub fn from_record(target: &Target, record: &CacheRecord) -> CaseOutcome {
+        CaseOutcome {
+            kind: target.kind,
+            report: CaseReport {
+                name: target.name.clone(),
+                verified: true,
+                elapsed: Duration::from_nanos(record.elapsed_nanos),
+                diagnostic: None,
+            },
+        }
+    }
+
     pub fn name(&self) -> &str {
         &self.report.name
     }
@@ -1191,6 +1206,20 @@ impl HybridSession {
         }
     }
 
+    /// Runs one target, panic-isolated like every batch target, under the
+    /// program's dependency-recording window, which is closed again even
+    /// when the proof panics. Returns the outcome and the stable
+    /// fingerprint of every item the proof read (misses included) — what
+    /// the daemon's dependency tracker keeps and a proof-cache record
+    /// persists. The window is global to the program, so recorded runs must
+    /// not overlap.
+    pub fn run_recorded(&self, t: &Target) -> (CaseOutcome, Vec<(DepKey, u64)>) {
+        let prog = &self.verifier.engine.prog;
+        prog.begin_dep_recording();
+        let outcome = self.run_target(t);
+        (outcome, fingerprint_reads(prog, prog.end_dep_recording()))
+    }
+
     /// Verifies every registered target and aggregates the outcomes.
     ///
     /// With more than one worker the targets are distributed over a pool of
@@ -1288,34 +1317,22 @@ impl HybridSession {
         let mut counters = RunCounters::default();
         let mut cases = Vec::with_capacity(self.targets.len());
         for t in &self.targets {
-            let tkey = proof_cache::target_key(self.namespace, t.kind.label(), &t.name);
-            let hit = store.lookup(tkey).into_iter().find(|rec| {
-                rec.namespace == self.namespace
-                    && rec.kind_label == t.kind.label()
-                    && rec.name == t.name
-                    && record_matches(rec, prog)
-            });
-            if let Some(rec) = hit {
+            if let Some(rec) = find_record(store, prog, self.namespace, t.kind.label(), &t.name) {
                 counters.hits += 1;
-                cases.push(CaseOutcome {
-                    kind: t.kind,
-                    report: CaseReport {
-                        name: t.name.clone(),
-                        verified: true,
-                        // The cold proving time, so cached reports keep a
-                        // meaningful Table 1 "Time" column.
-                        elapsed: Duration::from_nanos(rec.elapsed_nanos),
-                        diagnostic: None,
-                    },
-                });
+                cases.push(CaseOutcome::from_record(t, &rec));
                 continue;
             }
             counters.misses += 1;
-            prog.begin_dep_recording();
-            let outcome = self.run_target(t);
-            let reads = prog.end_dep_recording();
+            let (outcome, reads) = self.run_recorded(t);
             if outcome.verified() {
-                store.insert(&self.record_of(t, &outcome, reads));
+                store.insert(&verified_record(
+                    prog,
+                    self.namespace,
+                    t.kind.label(),
+                    &t.name,
+                    &reads,
+                    outcome.report.elapsed,
+                ));
                 counters.writes += 1;
             }
             cases.push(outcome);
@@ -1337,38 +1354,6 @@ impl HybridSession {
             backend: self.verifier.backend_kind(),
             solver,
             lints: self.lint_diagnostics(),
-        }
-    }
-
-    /// Builds the persistent record of a freshly verified target from its
-    /// recorded read-set, with every fingerprint recomputed stably
-    /// (name-based) so it means the same thing in any process.
-    fn record_of(
-        &self,
-        target: &Target,
-        outcome: &CaseOutcome,
-        reads: Vec<(gillian_engine::gil::DepKind, Symbol)>,
-    ) -> CacheRecord {
-        let prog = &self.verifier.engine.prog;
-        let mut deps: Vec<DepEntry> = reads
-            .into_iter()
-            .map(|(kind, name)| DepEntry {
-                kind: kind.label().to_string(),
-                name: name.to_string(),
-                fingerprint: stable_fingerprint_key(prog, kind, name),
-            })
-            .collect();
-        // Sorted by (kind, name) for deterministic record contents: the
-        // recording sink orders by Symbol numeric id, which is
-        // interning-order-dependent.
-        deps.sort_by(|a, b| (&a.kind, &a.name).cmp(&(&b.kind, &b.name)));
-        CacheRecord {
-            namespace: self.namespace,
-            kind_label: target.kind.label().to_string(),
-            name: target.name.clone(),
-            target_fp: stable_target_fingerprint(prog, &target.name),
-            deps,
-            elapsed_nanos: outcome.report.elapsed.as_nanos() as u64,
         }
     }
 }

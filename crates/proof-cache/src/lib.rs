@@ -4,15 +4,20 @@
 //! warm *within* a process; this crate makes them survive across
 //! processes, so CI and repeated local runs pay only for what changed:
 //!
-//! - [`hash`]: a fixed-key, width-normalised SipHash-2-4
-//!   ([`StableHasher`]) whose output is identical across processes,
-//!   platforms and Rust releases — the only hasher allowed near the disk.
 //! - [`stable`]: name-based, arena-independent structural fingerprints of
 //!   specs, predicates, lemmas and procedures (never `Symbol`/`TermId`
-//!   numeric identity).
+//!   numeric identity), hashed with the solver's fixed-key
+//!   [`StableHasher`]. They are the system's only item fingerprints: the
+//!   daemon's dependency tracker keys on the same values this crate
+//!   persists.
+//! - [`fingerprint`]: a proof's read-set paired with those fingerprints,
+//!   as the tracker keeps it and a record's `deps` persist it.
 //! - [`store`]: the [`CacheRecord`] format and the pluggable
 //!   [`CacheStore`] trait with std-only [`MemStore`] / [`DirStore`]
 //!   implementations.
+//! - this module: building the record of a verified target and finding a
+//!   record that still applies — the steps batch sessions and the daemon
+//!   share.
 //!
 //! # Soundness
 //!
@@ -24,11 +29,11 @@
 //! truncated, corrupted or version-bumped record is a miss, never
 //! trusted.
 
-pub mod hash;
+pub mod fingerprint;
 pub mod stable;
 pub mod store;
 
-pub use hash::StableHasher;
+pub use fingerprint::{fingerprint_reads, record_reads, DepKey};
 pub use stable::{
     stable_fingerprint_key, stable_lemma, stable_pred, stable_proc, stable_proc_sig, stable_spec,
     stable_target_fingerprint,
@@ -39,8 +44,61 @@ pub use store::{
 };
 
 use gillian_engine::gil::{DepKind, Prog};
-use gillian_solver::Symbol;
+use gillian_solver::{StableHasher, Symbol};
 use std::hash::{Hash, Hasher};
+use std::time::Duration;
+
+/// The record of a freshly verified target from its read-set, each read
+/// paired with its [`stable_fingerprint_key`] at proof time.
+pub fn verified_record(
+    prog: &Prog,
+    namespace: u64,
+    kind_label: &str,
+    name: &str,
+    reads: &[(DepKey, u64)],
+    elapsed: Duration,
+) -> CacheRecord {
+    let mut deps: Vec<DepEntry> = reads
+        .iter()
+        .map(|((kind, dep), fingerprint)| DepEntry {
+            kind: kind.label().to_string(),
+            name: dep.clone(),
+            fingerprint: *fingerprint,
+        })
+        .collect();
+    // Sorted by (kind, name) for deterministic record contents: the
+    // recording sink orders by Symbol numeric id, which is
+    // interning-order-dependent.
+    deps.sort_by(|a, b| (&a.kind, &a.name).cmp(&(&b.kind, &b.name)));
+    CacheRecord {
+        namespace,
+        kind_label: kind_label.to_string(),
+        name: name.to_string(),
+        target_fp: stable_target_fingerprint(prog, name),
+        deps,
+        elapsed_nanos: elapsed.as_nanos() as u64,
+    }
+}
+
+/// A record in `store` for the target `(kind_label, name)` under
+/// `namespace` that still applies to `prog` ([`record_matches`]), if any.
+pub fn find_record(
+    store: &dyn CacheStore,
+    prog: &Prog,
+    namespace: u64,
+    kind_label: &str,
+    name: &str,
+) -> Option<CacheRecord> {
+    store
+        .lookup(target_key(namespace, kind_label, name))
+        .into_iter()
+        .find(|rec| {
+            rec.namespace == namespace
+                && rec.kind_label == kind_label
+                && rec.name == name
+                && record_matches(rec, prog)
+        })
+}
 
 /// Does `record` still apply to `prog`? True iff the target fingerprint
 /// and *every* dependency fingerprint match the current program state.
@@ -92,18 +150,9 @@ mod tests {
     }
 
     fn record_for(prog: &Prog) -> CacheRecord {
-        CacheRecord {
-            namespace: 1,
-            kind_label: "fn".to_string(),
-            name: "f".to_string(),
-            target_fp: stable_target_fingerprint(prog, "f"),
-            deps: vec![DepEntry {
-                kind: "spec".to_string(),
-                name: "f".to_string(),
-                fingerprint: stable_fingerprint_key(prog, DepKind::Spec, Symbol::new("f")),
-            }],
-            elapsed_nanos: 1,
-        }
+        let fp = stable_fingerprint_key(prog, DepKind::Spec, Symbol::new("f"));
+        let reads = [((DepKind::Spec, "f".to_string()), fp)];
+        verified_record(prog, 1, "fn", "f", &reads, Duration::from_nanos(1))
     }
 
     #[test]

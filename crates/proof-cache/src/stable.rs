@@ -1,22 +1,18 @@
 //! Cross-process stable fingerprints of program items.
 //!
-//! The daemon's session fingerprints (`gillian-server`'s `fingerprint`
-//! module) hash arena `TermId`s — content-addressed *within* one session,
-//! meaningless outside it. Anything persisted to disk must instead hash the
-//! item's *structure*: constructor tags plus interned **names** (via
-//! `Symbol::as_str`), never `Symbol`/`TermId` numeric identity, which
-//! depends on interning order. Combined with the fixed-key
-//! [`StableHasher`], two processes loading structurally identical items
-//! always agree on every fingerprint here.
-//!
-//! The traversals deliberately mirror the session fingerprints item-field
-//! by item-field (same u8 tags, same skipped cosmetic fields such as
-//! `Proc::source_lines`), so the two notions of "changed" coincide.
+//! These are the only item fingerprints in the system: the daemon's
+//! dependency tracker decides whether an edit changed an item with them,
+//! and the proof cache persists them, so both share one notion of
+//! "changed". Each fingerprint hashes the item's *structure*: constructor
+//! tags plus interned **names** (via `Symbol::as_str`), never
+//! `Symbol`/`TermId` numeric identity, which depends on interning order.
+//! Cosmetic fields such as `Proc::source_lines` are skipped. Combined with
+//! the fixed-key [`StableHasher`], two processes loading structurally
+//! identical items always agree on every fingerprint here.
 
-use crate::hash::StableHasher;
 use gillian_engine::gil::{Cmd, DepKind, LogicCmd, Proc, Prog};
 use gillian_engine::{Asrt, Lemma, Pred, Spec};
-use gillian_solver::{Expr, Symbol};
+use gillian_solver::{Expr, StableHasher, Symbol};
 use std::hash::{Hash, Hasher};
 
 /// Stable fingerprint of whatever currently sits behind `(kind, name)` in
@@ -365,14 +361,24 @@ mod tests {
         assert_eq!(stable_proc(&a), stable_proc(&b));
     }
 
+    /// A proof that looks up a missing item persists its kind's sentinel as
+    /// that dependency's fingerprint, so the sentinels are pinned like every
+    /// other on-disk value (which also makes them stable and kind-distinct).
     #[test]
     fn absent_keys_are_stable_and_kind_distinct() {
         let prog = Prog::new();
-        let name = Symbol::new("ghost");
-        let a = stable_fingerprint_key(&prog, DepKind::Spec, name);
-        let b = stable_fingerprint_key(&prog, DepKind::Spec, name);
-        assert_eq!(a, b);
-        assert_ne!(a, stable_fingerprint_key(&prog, DepKind::Proc, name));
+        let got = DepKind::ALL.map(|k| stable_fingerprint_key(&prog, k, Symbol::new("ghost")));
+        // DepKind::ALL order: proc, pred, spec, lemma, proc-sig.
+        assert_eq!(
+            got,
+            [
+                0x006e9c3121da53d7,
+                0xa46d6af96207fc02,
+                0x2701b32be4786abc,
+                0xd4d43993540f885a,
+                0xb963ab2fe4e54709,
+            ]
+        );
     }
 
     #[test]

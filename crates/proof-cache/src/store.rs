@@ -18,7 +18,7 @@
 //! unknown kind label, checksum mismatch, version bump — parses to `None`
 //! and is treated as a miss, never trusted.
 
-use crate::hash::StableHasher;
+use gillian_solver::StableHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::io::Write;

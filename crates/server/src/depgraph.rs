@@ -2,21 +2,20 @@
 //!
 //! During each target's verification the engine's [`Prog`] lookups are
 //! recorded (see `gillian_engine::gil::DepSink`), yielding the set of
-//! (kind, name) keys the proof *read*, each paired with the content
-//! fingerprint of what was behind the key at the time. An update request
-//! then only has to compare fingerprints: if the item behind a key changed,
-//! the tracker dirties exactly the reverse-dependency cone of that key, and
-//! the next `verify` answers every clean target from the retained outcome
-//! cache.
+//! (kind, name) keys the proof *read*, each paired with the stable
+//! fingerprint (`proof_cache::stable_fingerprint_key`) of what was behind
+//! the key at the time — the same value the proof cache persists. An update
+//! request then only has to compare fingerprints: if the item behind a key
+//! changed, the tracker dirties exactly the reverse-dependency cone of that
+//! key, and the next `verify` answers every clean target from the retained
+//! outcome cache.
 //!
 //! [`Prog`]: gillian_engine::gil::Prog
 
 use driver::CaseOutcome;
-use gillian_engine::gil::DepKind;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-/// A dependency key: one item a verification target can read.
-pub type DepKey = (DepKind, String);
+pub use proof_cache::DepKey;
 
 /// Tracks, per verification target, what it read (with fingerprints), the
 /// inverted edges, the dirty set, and the last known outcome.
@@ -138,6 +137,7 @@ impl DepTracker {
 mod tests {
     use super::*;
     use driver::{CaseOutcome, TargetKind};
+    use gillian_engine::gil::DepKind;
     use gillian_rust::verifier::CaseReport;
 
     fn ok_outcome() -> CaseOutcome {

@@ -9,7 +9,8 @@
 //! hash-consing term arena, the compiled GIL program, the elaborated
 //! specification context) and, crucially, *remembers which items each proof
 //! read*: the engine's `Prog` lookups are recorded per verification target
-//! and fingerprinted, so an `update_spec` request dirties only the
+//! and fingerprinted with the proof cache's stable, name-based
+//! fingerprints, so an `update_spec` request dirties only the
 //! reverse-dependency cone of the edited item and the next `verify` answers
 //! all other targets from the retained outcome cache.
 //!
@@ -19,17 +20,12 @@
 
 pub mod db;
 pub mod depgraph;
-pub mod fingerprint;
 pub mod json;
 pub mod protocol;
 pub mod server;
 
 pub use db::{chain_program, mode_label, parse_mode, workload, ProgramDb, Workload, WORKLOADS};
 pub use depgraph::{DepKey, DepTracker};
-pub use fingerprint::{
-    fingerprint_key, fingerprint_lemma, fingerprint_pred, fingerprint_proc, fingerprint_proc_sig,
-    fingerprint_spec,
-};
 pub use json::{parse, JsonError, Value};
 pub use protocol::{parse_request, Envelope, Request};
 pub use server::{

@@ -5,25 +5,26 @@
 //! retained [`HybridSession`](driver::HybridSession) and is shared by every
 //! request, while each request only allocates its own response. Verification
 //! runs record, per target, exactly which specs/procs/preds/lemmas the proof
-//! read (through the engine's `Prog` lookups) together with content
-//! fingerprints of those items; `update_spec`/`update_fn` then dirty only
-//! the reverse-dependency cone of the edited item, and `verify` answers
-//! every clean target from the retained outcome cache.
+//! read (through the engine's `Prog` lookups) together with the stable
+//! fingerprints of those items — the values the proof cache persists, so a
+//! read-set moves between the tracker and the disk store unchanged;
+//! `update_spec`/`update_fn` then dirty only the reverse-dependency cone of
+//! the edited item, and `verify` answers every clean target from the
+//! retained outcome cache.
 
 use crate::db::{mode_label, parse_mode, workload, ProgramDb};
 use crate::depgraph::{DepKey, DepTracker};
-use crate::fingerprint::{fingerprint_key, fingerprint_pred, fingerprint_spec};
 use crate::json::Value;
 use crate::protocol::{parse_request, Request};
 use creusot_lite::{elaborate, parse_term};
-use driver::{CaseOutcome, SolverStats, Target, TargetKind};
+use driver::{CaseOutcome, SolverStats, Target};
 use gillian_engine::gil::DepKind;
 use gillian_lint::{LintDiagnostic, Severity};
-use gillian_rust::verifier::{CaseReport, VerifyDiagnostic};
+use gillian_rust::verifier::VerifyDiagnostic;
 use gillian_solver::Symbol;
 use proof_cache::{
-    record_matches, stable_fingerprint_key, stable_target_fingerprint, CacheRecord, CacheStore,
-    DepEntry, DirStore, RunCounters,
+    find_record, record_reads, stable_fingerprint_key, stable_pred, stable_spec, verified_record,
+    CacheStore, DirStore, RunCounters,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{BufRead, Write};
@@ -339,13 +340,13 @@ impl ServerCore {
 
         for t in &selected {
             if force || loaded.tracker.is_dirty(&t.name) {
-                let (outcome, reads) = run_target(&mut loaded.db, &mut loaded.tracker, t);
+                let outcome = run_target(&loaded.db, &mut loaded.tracker, t);
                 if let Some(store) = &store {
                     loaded.disk.misses += 1;
-                    // Only verified outcomes persist: failures are always
-                    // re-proved, so their diagnostics are always fresh.
+                    // A verified outcome is never transient, so the tracker
+                    // now holds it.
                     if outcome.verified() {
-                        store.insert(&stable_record(&loaded.db, t, &outcome, reads));
+                        write_back(store.as_ref(), loaded, t);
                         loaded.disk.writes += 1;
                     }
                 }
@@ -458,16 +459,14 @@ impl ServerCore {
 
         loaded.db.side_ctx.add_spec(spec.clone());
 
-        let arena = loaded.db.session.verifier().engine.solver.arena().clone();
         let mut dirtied: BTreeSet<String> = BTreeSet::new();
         let mut changed = false;
 
         let pred_names: Vec<Symbol> = loaded.db.side_ctx.prog.preds.keys().copied().collect();
         for name in pred_names {
-            let new_fp = fingerprint_pred(&arena, &loaded.db.side_ctx.prog.preds[&name]);
-            let old_fp = fingerprint_key(
+            let new_fp = stable_pred(&loaded.db.side_ctx.prog.preds[&name]);
+            let old_fp = stable_fingerprint_key(
                 &loaded.db.session.verifier().engine.prog,
-                &arena,
                 DepKind::Pred,
                 name,
             );
@@ -483,10 +482,9 @@ impl ServerCore {
             }
         }
 
-        let new_fp = fingerprint_spec(&arena, &spec);
-        let old_fp = fingerprint_key(
+        let new_fp = stable_spec(&spec);
+        let old_fp = stable_fingerprint_key(
             &loaded.db.session.verifier().engine.prog,
-            &arena,
             DepKind::Spec,
             Symbol::new(func),
         );
@@ -661,77 +659,51 @@ impl ServerCore {
         let Some(store) = &self.store else { return };
         for loaded in self.sessions.values() {
             for t in loaded.db.session.targets() {
-                if loaded.tracker.is_dirty(&t.name) {
-                    continue;
+                if !loaded.tracker.is_dirty(&t.name) {
+                    write_back(store.as_ref(), loaded, t);
                 }
-                let Some(outcome) = loaded.tracker.cached(&t.name) else {
-                    continue;
-                };
-                if !outcome.verified() {
-                    continue;
-                }
-                let Some(deps) = loaded.tracker.deps_of(&t.name) else {
-                    continue;
-                };
-                let reads: Vec<(DepKind, Symbol)> = deps
-                    .iter()
-                    .map(|((kind, name), _)| (*kind, Symbol::new(name)))
-                    .collect();
-                store.insert(&stable_record(&loaded.db, t, outcome, reads));
             }
         }
     }
 }
 
-/// Runs one target with dependency recording and records the result.
-/// Returns the outcome plus the raw read-set, so a caller holding a disk
-/// store can persist a stable record without re-running anything.
-///
-/// The proof itself runs under `catch_unwind`: a panicking target (an
-/// engine bug, or an injected fault in the chaos tests) becomes a
-/// structured unverified outcome of category `panic`, and — crucially for
-/// the resident daemon — the dependency-recording window is closed either
-/// way, so the session's warm state stays consistent for the next request.
+/// Writes `target`'s tracked outcome to `store` if it is verified — only
+/// verified outcomes persist: failures are always re-proved, so their
+/// diagnostics are always fresh. The record carries the read-set
+/// fingerprints the tracker already holds.
+fn write_back(store: &dyn CacheStore, loaded: &Loaded, target: &Target) {
+    let name = &target.name;
+    let (Some(outcome), Some(reads)) = (loaded.tracker.cached(name), loaded.tracker.deps_of(name))
+    else {
+        return;
+    };
+    if !outcome.verified() {
+        return;
+    }
+    store.insert(&verified_record(
+        &loaded.db.session.verifier().engine.prog,
+        loaded.db.session.cache_namespace(),
+        target.kind.label(),
+        name,
+        reads,
+        outcome.report.elapsed,
+    ));
+}
+
+/// Runs one target under dependency recording
+/// ([`HybridSession::run_recorded`](driver::HybridSession::run_recorded):
+/// panic-isolated, and the recording window is closed either way, so the
+/// session's warm state stays consistent for the next request) and records
+/// the outcome in the tracker with the stable fingerprint of every item the
+/// proof read — also what a caller holding a disk store persists.
 ///
 /// *Transient* outcomes (a panic, or a timeout under a wall-clock deadline)
 /// are returned but **not** recorded in the tracker: they describe this
 /// run's environment, not the program, so the target stays dirty and is
 /// re-proved on the next request instead of replaying a stale failure.
-fn run_target(
-    db: &mut ProgramDb,
-    tracker: &mut DepTracker,
-    target: &Target,
-) -> (CaseOutcome, Vec<(DepKind, Symbol)>) {
-    let verifier = db.session.verifier();
-    let deadline_active = verifier.engine.opts.target_timeout.is_some();
-    verifier.engine.prog.begin_dep_recording();
-    let start = Instant::now();
-    let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match target.kind {
-        TargetKind::Function => db.session.verify_fn(&target.name),
-        TargetKind::Lemma => db.session.verify_lemma(&target.name),
-    }));
-    let report = match attempt {
-        Ok(report) => report,
-        Err(payload) => CaseReport {
-            name: target.name.clone(),
-            verified: false,
-            elapsed: start.elapsed(),
-            diagnostic: Some(VerifyDiagnostic::from_panic(payload.as_ref())),
-        },
-    };
-    let raw = verifier.engine.prog.end_dep_recording();
-    let arena = verifier.engine.solver.arena();
-    let reads: Vec<(DepKey, u64)> = raw
-        .iter()
-        .map(|&(kind, name)| {
-            let fp = fingerprint_key(&verifier.engine.prog, arena, kind, name);
-            ((kind, name.to_string()), fp)
-        })
-        .collect();
-    let outcome = CaseOutcome {
-        kind: target.kind,
-        report,
-    };
+fn run_target(db: &ProgramDb, tracker: &mut DepTracker, target: &Target) -> CaseOutcome {
+    let deadline_active = db.session.target_timeout().is_some();
+    let (outcome, reads) = db.session.run_recorded(target);
     let transient = match &outcome.report.diagnostic {
         Some(VerifyDiagnostic::Panic { .. }) => true,
         Some(VerifyDiagnostic::Timeout { .. }) => deadline_active,
@@ -740,82 +712,30 @@ fn run_target(
     if !transient {
         tracker.record(&target.name, reads, outcome.clone());
     }
-    (outcome, raw)
-}
-
-/// Builds the persistent, cross-process record of a freshly verified
-/// target: every fingerprint is recomputed with the *stable* (name-based,
-/// arena-independent) scheme — the session fingerprints in the tracker key
-/// off interned `TermId`s and mean nothing outside this process.
-fn stable_record(
-    db: &ProgramDb,
-    target: &Target,
-    outcome: &CaseOutcome,
-    reads: Vec<(DepKind, Symbol)>,
-) -> CacheRecord {
-    let prog = &db.session.verifier().engine.prog;
-    let mut deps: Vec<DepEntry> = reads
-        .into_iter()
-        .map(|(kind, name)| DepEntry {
-            kind: kind.label().to_string(),
-            name: name.to_string(),
-            fingerprint: stable_fingerprint_key(prog, kind, name),
-        })
-        .collect();
-    deps.sort_by(|a, b| (&a.kind, &a.name).cmp(&(&b.kind, &b.name)));
-    CacheRecord {
-        namespace: db.session.cache_namespace(),
-        kind_label: target.kind.label().to_string(),
-        name: target.name.clone(),
-        target_fp: stable_target_fingerprint(prog, &target.name),
-        deps,
-        elapsed_nanos: outcome.report.elapsed.as_nanos() as u64,
-    }
+    outcome
 }
 
 /// Seeds a fresh dependency tracker from the disk store: every target with
 /// a record whose target *and* dependency fingerprints all match the loaded
-/// program is marked clean with a synthetic verified outcome, and its
-/// read-set is re-fingerprinted with the session (arena-based) scheme so
-/// later `update_spec`/`update_fn` requests dirty the cone exactly as if
-/// this process had proved it. Returns the hydrated target names.
+/// program is marked clean with a synthetic verified outcome, and the
+/// record's read-set becomes the tracker's as it is. The tracker keys on
+/// the same stable fingerprints, and the match just checked each one
+/// against the program, so later `update_spec`/`update_fn` requests dirty
+/// the cone exactly as if this process had proved it. Returns the
+/// hydrated target names.
 fn hydrate(store: &dyn CacheStore, db: &ProgramDb, tracker: &mut DepTracker) -> Vec<String> {
     let namespace = db.session.cache_namespace();
-    let verifier = db.session.verifier();
-    let prog = &verifier.engine.prog;
-    let arena = verifier.engine.solver.arena();
+    let prog = &db.session.verifier().engine.prog;
     let mut hydrated = Vec::new();
     for t in db.session.targets() {
-        let tkey = proof_cache::target_key(namespace, t.kind.label(), &t.name);
-        let hit = store.lookup(tkey).into_iter().find(|rec| {
-            rec.namespace == namespace
-                && rec.kind_label == t.kind.label()
-                && rec.name == t.name
-                && record_matches(rec, prog)
-        });
-        let Some(rec) = hit else { continue };
-        let reads: Vec<(DepKey, u64)> = rec
-            .deps
-            .iter()
-            .filter_map(|d| {
-                let kind = DepKind::from_label(&d.kind)?;
-                let name = Symbol::new(&d.name);
-                let fp = fingerprint_key(prog, arena, kind, name);
-                Some(((kind, d.name.clone()), fp))
-            })
-            .collect();
-        let outcome = CaseOutcome {
-            kind: t.kind,
-            report: CaseReport {
-                name: t.name.clone(),
-                verified: true,
-                // The cold proving time from the record, so reports keep a
-                // meaningful duration column.
-                elapsed: Duration::from_nanos(rec.elapsed_nanos),
-                diagnostic: None,
-            },
+        let Some(rec) = find_record(store, prog, namespace, t.kind.label(), &t.name) else {
+            continue;
         };
-        tracker.record(&t.name, reads, outcome);
+        tracker.record(
+            &t.name,
+            record_reads(&rec),
+            CaseOutcome::from_record(t, &rec),
+        );
         hydrated.push(t.name.clone());
     }
     hydrated
@@ -1279,6 +1199,32 @@ mod tests {
             .unwrap()
     }
 
+    /// One read-set as sorted `(kind label, name, fingerprint)` triples —
+    /// the shape of a record's `deps`.
+    type Reads = Vec<(String, String, u64)>;
+
+    /// Every target's tracked read-set, by target name.
+    fn read_sets(core: &ServerCore) -> Vec<(String, Reads)> {
+        let loaded = &core.sessions[core.current.as_ref().unwrap()];
+        loaded
+            .db
+            .session
+            .targets()
+            .iter()
+            .map(|t| {
+                let mut reads: Reads = loaded
+                    .tracker
+                    .deps_of(&t.name)
+                    .unwrap()
+                    .iter()
+                    .map(|((kind, name), fp)| (kind.label().to_string(), name.clone(), *fp))
+                    .collect();
+                reads.sort();
+                (t.name.clone(), reads)
+            })
+            .collect()
+    }
+
     #[test]
     fn daemon_restart_hydrates_from_the_store() {
         let store: Arc<dyn CacheStore> = Arc::new(proof_cache::MemStore::new());
@@ -1293,6 +1239,21 @@ mod tests {
         assert_eq!(names(&v, "reverified"), vec!["base", "inc", "inc2"]);
         assert_eq!(delta_i64(&v, "disk_cache_misses"), 3);
         assert_eq!(delta_i64(&v, "disk_cache_writes"), 3);
+        // The tracker keeps exactly the fingerprints the records persist.
+        let cold = read_sets(&core);
+        let namespace = core.sessions[core.current.as_ref().unwrap()]
+            .db
+            .session
+            .cache_namespace();
+        for (name, reads) in &cold {
+            let records = store.lookup(proof_cache::target_key(namespace, "fn", name));
+            let deps: Reads = records
+                .iter()
+                .flat_map(|r| &r.deps)
+                .map(|d| (d.kind.clone(), d.name.clone(), d.fingerprint))
+                .collect();
+            assert_eq!(&deps, reads, "{name}");
+        }
         ok(&core.handle_line(r#"{"id":3,"cmd":"shutdown"}"#));
 
         // Second daemon lifetime over the same store: the load hydrates the
@@ -1303,6 +1264,7 @@ mod tests {
             r#"{"id":1,"cmd":"load","workload":"chain","workers":1,"branch_parallelism":1}"#,
         ));
         assert_eq!(names(&v, "hydrated"), vec!["base", "inc", "inc2"]);
+        assert_eq!(read_sets(&core), cold);
         let v = ok(&core.handle_line(r#"{"id":2,"cmd":"verify"}"#));
         assert_eq!(v.get("all_verified").and_then(Value::as_bool), Some(true));
         assert!(names(&v, "reverified").is_empty());

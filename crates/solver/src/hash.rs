@@ -12,14 +12,14 @@
 //! - `write_usize`/`write_isize` are normalised to 64 bits,
 //!
 //! so a given byte/value stream hashes identically on every platform,
-//! every process, and every Rust release. Bump [`CACHE_FORMAT_VERSION`] in
-//! the store if the keys or the algorithm ever change — old records must
-//! not be trusted across a hash change.
+//! every process, and every Rust release. Bump `CACHE_FORMAT_VERSION` in
+//! `proof-cache` if the keys or the algorithm ever change — old records
+//! must not be trusted across a hash change.
 
 use std::hash::{Hash, Hasher};
 
 // Fixed SipHash keys ("GillianR", "ustProof"). Changing them invalidates
-// every persisted record; bump the store format version if you do.
+// every persisted proof-cache record; bump its format version if you do.
 const KEY0: u64 = 0x4769_6c6c_6961_6e52;
 const KEY1: u64 = 0x7573_7450_726f_6f66;
 
@@ -220,7 +220,7 @@ mod tests {
     }
 
     /// Golden values with *our* fixed keys. If these change, the on-disk
-    /// cache format is silently broken: bump the store version instead of
+    /// proof-cache format is silently broken: bump its version instead of
     /// updating the constants.
     #[test]
     fn golden_values_are_pinned() {

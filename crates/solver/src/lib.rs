@@ -21,6 +21,11 @@
 //!   through branch-scoped [`SolverCtx`] handles handed out by the shared
 //!   [`Solver`] hub.
 //!
+//! [`StableHasher`] ([`hash`]) is the one hash function for anything that
+//! must mean the same in every process: [`Expr::stable_hash_into`], the
+//! proof cache's item fingerprints and the abstract interpreter's invariant
+//! fingerprints all feed it.
+//!
 //! The solver is *sound for refutation*: `check_unsat` only answers `true`
 //! when the facts are genuinely unsatisfiable, and `entails` only answers
 //! `true` when the goal genuinely follows. Incompleteness can make
@@ -41,6 +46,7 @@ pub mod backend;
 pub mod bags;
 pub mod congruence;
 pub mod expr;
+pub mod hash;
 pub mod interp;
 pub mod kernel;
 pub mod linear;
@@ -55,6 +61,7 @@ pub use backend::{
     OneShotBackend, SolverBackend, SolverStats,
 };
 pub use expr::{BinOp, Expr, NOp, SVar, UnOp, VarGen};
+pub use hash::StableHasher;
 pub use interp::{eval, Env, Value};
 pub use kernel::IncrementalState;
 pub use simplify::simplify;
