@@ -2,10 +2,10 @@
 //! single element at a symbolic offset of an array-like region, and the
 //! byte-allocation re-typing path used by the standard-library `Vec`.
 
-use gillian_engine::PureCtx;
+use gillian_engine::with_pure_ctx;
 use gillian_rust::heap::Heap;
 use gillian_rust::types::TypeRegistry;
-use gillian_solver::{Expr, Solver, VarGen};
+use gillian_solver::{Expr, Solver};
 use hybrid_bench::Criterion;
 use rust_ir::{LayoutOracle, Program, Ty};
 
@@ -14,56 +14,40 @@ fn bench_heap(c: &mut Criterion) {
     group.bench_function("figure2_isolate_write", |b| {
         b.iter(|| {
             let types = TypeRegistry::new(Program::new("bench"), LayoutOracle::default());
-            let solver = Solver::new();
-            let sctx = solver.ctx();
-            let mut vars = VarGen::new();
-            let mut path = Vec::new();
-            let mut ctx = PureCtx {
-                ctx: &sctx,
-                path: &mut path,
-                vars: &mut vars,
-            };
-            let n = ctx.fresh();
-            let k = ctx.fresh();
-            let vs = ctx.fresh();
-            ctx.assume(Expr::le(Expr::Int(0), k.clone()));
-            ctx.assume(Expr::lt(k.clone(), n.clone()));
-            ctx.assume(Expr::eq(Expr::seq_len(vs.clone()), k.clone()));
-            let mut heap = Heap::new();
-            let elem = Ty::usize();
-            let addr = heap.alloc_array(elem.clone(), n.clone());
-            heap.take_uninit_slice(&addr, &elem, &k, &types, &mut ctx)
-                .unwrap();
-            heap.give_slice(&addr, &elem, &k, vs, &types, &mut ctx)
-                .unwrap();
-            let elem_id = types.intern(&elem);
-            let at_k = addr.clone().with_index(elem_id, k.clone());
-            heap.store(&at_k, &elem, Expr::Int(7), &types, &mut ctx)
-                .unwrap();
-            heap.load(&at_k, &elem, &types, &mut ctx).unwrap()
+            with_pure_ctx(&Solver::new(), |ctx| {
+                let n = ctx.fresh();
+                let k = ctx.fresh();
+                let vs = ctx.fresh();
+                ctx.assume(Expr::le(Expr::Int(0), k.clone()));
+                ctx.assume(Expr::lt(k.clone(), n.clone()));
+                ctx.assume(Expr::eq(Expr::seq_len(vs.clone()), k.clone()));
+                let mut heap = Heap::new();
+                let elem = Ty::usize();
+                let addr = heap.alloc_array(elem.clone(), n.clone());
+                heap.take_uninit_slice(&addr, &elem, &k, &types, ctx)
+                    .unwrap();
+                heap.give_slice(&addr, &elem, &k, vs, &types, ctx).unwrap();
+                let elem_id = types.intern(&elem);
+                let at_k = addr.clone().with_index(elem_id, k.clone());
+                heap.store(&at_k, &elem, Expr::Int(7), &types, ctx).unwrap();
+                heap.load(&at_k, &elem, &types, ctx).unwrap()
+            })
         })
     });
     group.bench_function("u8_allocation_retype", |b| {
         b.iter(|| {
             let types = TypeRegistry::new(Program::new("bench"), LayoutOracle::default());
-            let solver = Solver::new();
-            let sctx = solver.ctx();
-            let mut vars = VarGen::new();
-            let mut path = Vec::new();
             let mut heap = Heap::new();
             let addr = heap.alloc_array(Ty::u8(), Expr::Int(64));
             heap.retype_array(&addr, Ty::usize(), Expr::Int(8), addr.to_expr())
                 .unwrap();
-            let mut ctx = PureCtx {
-                ctx: &sctx,
-                path: &mut path,
-                vars: &mut vars,
-            };
-            let id = types.intern(&Ty::usize());
-            let at0 = addr.clone().with_index(id, Expr::Int(0));
-            heap.store(&at0, &Ty::usize(), Expr::Int(1), &types, &mut ctx)
-                .unwrap();
-            heap.load(&at0, &Ty::usize(), &types, &mut ctx).unwrap()
+            with_pure_ctx(&Solver::new(), |ctx| {
+                let id = types.intern(&Ty::usize());
+                let at0 = addr.clone().with_index(id, Expr::Int(0));
+                heap.store(&at0, &Ty::usize(), Expr::Int(1), &types, ctx)
+                    .unwrap();
+                heap.load(&at0, &Ty::usize(), &types, ctx).unwrap()
+            })
         })
     });
     group.finish();

@@ -1,10 +1,11 @@
 //! Solver-backend ablation over the Table 1 suite.
 //!
-//! Re-runs every Table 1 session under each [`BackendKind`] — one-shot
-//! (re-simplify everything per query), incremental (facts interned and
-//! flattened once at assert time) and cached-incremental (canonical
-//! `TermId`-set query cache, the default) — and compares wall time, query
-//! counts, raw leaf-case explorations and verdicts.
+//! Re-runs every Table 1 session under each in-repo [`BackendKind`] —
+//! one-shot (re-simplify everything per query, the reference),
+//! incremental-state (persistent theory state, uncached) and
+//! cached-incremental (canonical `TermId`-set query cache over the
+//! incremental state, the default) — and compares wall time, query counts,
+//! raw leaf-case explorations and verdicts.
 //!
 //! The run **asserts** the redesign's contract: identical verdicts across
 //! all backends, and strictly fewer leaf-case explorations for the cached

@@ -6,18 +6,18 @@
 //! * **straight-line** — a long chain of unit equalities/bounds with a
 //!   feasibility check after every assert (the engine's `assume` pattern)
 //!   and periodic entailments. The pathological case for per-query
-//!   recomputation: the eager kernel pays one full kernel run per query,
-//!   the incremental state answers from the maintained closure.
+//!   recomputation: the one-shot reference pays one full kernel run per
+//!   query, the incremental state answers from the maintained closure.
 //! * **case-splits** — wide and nested disjunctions interleaved with unit
 //!   facts: measures the disjunct-only re-split plus decomposition memo.
 //! * **push-pop tower** — deep branch-scope nesting with checks on the way
 //!   down *and* up: measures O(changes) trail undo vs O(context) restores.
 //!
-//! The run **asserts** the PR's headline contract: on the straight-line
-//! suite the incremental-state backend explores **≥5× fewer leaf cases**
-//! than the eager backend. Results go to `BENCH_solver_scale.json` at the
-//! workspace root (uploaded by the CI bench-smoke job). `BENCH_QUICK=1`
-//! shrinks the suites.
+//! The run **asserts** the incremental state's headline contract: on the
+//! straight-line suite the incremental-state backend explores **≥5× fewer
+//! leaf cases** than the one-shot reference. Results go to
+//! `BENCH_solver_scale.json` at the workspace root (uploaded by the CI
+//! bench-smoke job). `BENCH_QUICK=1` shrinks the suites.
 
 use gillian_solver::{BackendKind, Expr, Solver, SolverStats};
 use std::time::{Duration, Instant};
@@ -140,7 +140,7 @@ fn to_json(suites: &[Suite], quick: bool, ratio: f64, ratio_ok: bool) -> String 
     let mut out = String::from("{");
     out.push_str(&format!("\"quick\":{quick},"));
     out.push_str(&format!(
-        "\"straight_line_leaf_ratio_eager_over_incremental\":{ratio:.2},"
+        "\"straight_line_leaf_ratio_one_shot_over_incremental\":{ratio:.2},"
     ));
     out.push_str(&format!("\"ratio_target_5x_met\":{ratio_ok},"));
     out.push_str("\"suites\":[");
@@ -190,7 +190,7 @@ fn main() {
         run_suite("push_pop_tower", &kinds, push_pop_tower(d)),
     ];
 
-    // Headline contract: ≥5× fewer leaf cases than eager on straight-line.
+    // Headline contract: ≥5× fewer leaf cases than one-shot on straight-line.
     let leaf = |suite: &Suite, kind: BackendKind| {
         suite
             .rows
@@ -199,18 +199,18 @@ fn main() {
             .map(|r| r.stats.cases_explored)
             .unwrap()
     };
-    let eager = leaf(&suites[0], BackendKind::Incremental);
+    let one_shot = leaf(&suites[0], BackendKind::OneShot);
     let incr = leaf(&suites[0], BackendKind::IncrementalState);
-    let ratio = eager as f64 / (incr.max(1)) as f64;
-    let ratio_ok = incr * 5 <= eager;
+    let ratio = one_shot as f64 / (incr.max(1)) as f64;
+    let ratio_ok = incr * 5 <= one_shot;
     assert!(
         ratio_ok,
-        "straight-line: incremental-state explored {incr} leaf cases, eager {eager} — expected ≥5× fewer"
+        "straight-line: incremental-state explored {incr} leaf cases, one-shot {one_shot} — expected ≥5× fewer"
     );
 
     let json = to_json(&suites, quick, ratio, ratio_ok);
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_solver_scale.json");
     std::fs::write(path, &json).expect("write BENCH_solver_scale.json");
-    println!("  straight-line leaf-case ratio (eager / incremental-state): {ratio:.1}x");
+    println!("  straight-line leaf-case ratio (one-shot / incremental-state): {ratio:.1}x");
     println!("  wrote {path}");
 }

@@ -159,7 +159,8 @@ impl Heap {
         }
         // Look for a path-condition equality that gives the pointer a
         // concrete form.
-        for fact in ctx.path.iter() {
+        let path = ctx.ctx.path();
+        for fact in &path {
             if let Expr::BinOp(gillian_solver::BinOp::Eq, a, b) = fact.as_ref() {
                 if a.as_ref() == &e && is_ptr_shaped(b) {
                     return self.resolve_ptr_depth(b, ctx, types, depth - 1);
@@ -172,25 +173,21 @@ impl Heap {
         // Fall back to solver-provable equalities (e.g. through constructor
         // injectivity): any pointer-shaped term of the path condition that
         // must equal `e` resolves it.
-        let candidates: Vec<(Expr, Expr)> = ctx
-            .path
-            .iter()
-            .filter_map(|fact| match fact.as_ref() {
-                Expr::BinOp(gillian_solver::BinOp::Eq, a, b) => {
-                    if is_ptr_shaped(b) {
-                        Some(((**a).clone(), (**b).clone()))
-                    } else if is_ptr_shaped(a) {
-                        Some(((**b).clone(), (**a).clone()))
-                    } else {
-                        None
-                    }
+        let candidates = path.iter().filter_map(|fact| match fact.as_ref() {
+            Expr::BinOp(gillian_solver::BinOp::Eq, a, b) => {
+                if is_ptr_shaped(b) {
+                    Some((a, b))
+                } else if is_ptr_shaped(a) {
+                    Some((b, a))
+                } else {
+                    None
                 }
-                _ => None,
-            })
-            .collect();
+            }
+            _ => None,
+        });
         for (other, ptr_side) in candidates {
-            if ctx.must_equal(&other, &e) {
-                if let Some(addr) = self.resolve_ptr_depth(&ptr_side, ctx, types, depth - 1) {
+            if ctx.must_equal(other, &e) {
+                if let Some(addr) = self.resolve_ptr_depth(ptr_side, ctx, types, depth - 1) {
                     return Some(addr);
                 }
             }
@@ -1235,7 +1232,8 @@ fn give_range(
 mod tests {
     use super::*;
     use crate::types::TypeRegistry;
-    use gillian_solver::{Solver, VarGen};
+    use gillian_engine::with_pure_ctx;
+    use gillian_solver::Solver;
     use rust_ir::{AdtDef, LayoutOracle, Program};
 
     fn setup() -> (Types, Solver) {
@@ -1248,34 +1246,13 @@ mod tests {
         (TypeRegistry::new(p, LayoutOracle::default()), Solver::new())
     }
 
-    fn with_ctx<R>(
-        solver: &Solver,
-        path: &mut Vec<std::sync::Arc<Expr>>,
-        vars: &mut VarGen,
-        f: impl FnOnce(&mut PureCtx<'_>) -> R,
-    ) -> R {
-        let sctx = solver.ctx();
-        // Re-assert any pre-seeded path facts into the fresh context.
-        for fact in path.iter() {
-            sctx.assert_expr(fact);
-        }
-        let mut ctx = PureCtx {
-            ctx: &sctx,
-            path,
-            vars,
-        };
-        f(&mut ctx)
-    }
-
     #[test]
     fn alloc_store_load_round_trip() {
         let (types, solver) = setup();
         let mut heap = Heap::new();
-        let mut path = vec![];
-        let mut vars = VarGen::new();
         let pair_ty = Ty::adt("Pair", vec![]);
         let addr = heap.alloc(pair_ty.clone());
-        with_ctx(&solver, &mut path, &mut vars, |ctx| {
+        with_pure_ctx(&solver, |ctx| {
             let pair_id = types.intern(&pair_ty);
             let field0 = addr.clone().with_field(pair_id, 0);
             heap.store(&field0, &Ty::usize(), Expr::Int(7), &types, ctx)
@@ -1289,11 +1266,9 @@ mod tests {
     fn load_uninitialised_field_is_an_error() {
         let (types, solver) = setup();
         let mut heap = Heap::new();
-        let mut path = vec![];
-        let mut vars = VarGen::new();
         let pair_ty = Ty::adt("Pair", vec![]);
         let addr = heap.alloc(pair_ty.clone());
-        with_ctx(&solver, &mut path, &mut vars, |ctx| {
+        with_pure_ctx(&solver, |ctx| {
             let pair_id = types.intern(&pair_ty);
             let field1 = addr.clone().with_field(pair_id, 1);
             match heap.load(&field1, &Ty::usize(), &types, ctx) {
@@ -1307,36 +1282,32 @@ mod tests {
     fn symbolic_struct_value_destructures_on_field_access() {
         let (types, solver) = setup();
         let mut heap = Heap::new();
-        let mut path = vec![];
-        let mut vars = VarGen::new();
         let pair_ty = Ty::adt("Pair", vec![]);
-        let v = Expr::Var(vars.fresh());
         let addr = heap.alloc(pair_ty.clone());
-        with_ctx(&solver, &mut path, &mut vars, |ctx| {
+        with_pure_ctx(&solver, |ctx| {
+            let v = ctx.fresh();
             heap.store(&addr, &pair_ty, v.clone(), &types, ctx).unwrap();
             let pair_id = types.intern(&pair_ty);
             let field0 = addr.clone().with_field(pair_id, 0);
             let f0 = heap.load(&field0, &Ty::usize(), &types, ctx).unwrap();
             assert!(matches!(f0, Expr::Var(_)));
+            // Destructuring recorded the equality v == struct::Pair(f0, f1).
+            assert!(ctx.ctx.path().iter().any(|f| matches!(
+                f.as_ref(),
+                Expr::BinOp(gillian_solver::BinOp::Eq, a, _) if a.as_ref() == &v
+            ) || matches!(
+                f.as_ref(),
+                Expr::BinOp(gillian_solver::BinOp::Eq, _, b) if b.as_ref() == &v
+            )));
         });
-        // Destructuring recorded the equality v == struct::Pair(f0, f1).
-        assert!(path.iter().any(|f| matches!(
-            f.as_ref(),
-            Expr::BinOp(gillian_solver::BinOp::Eq, a, _) if a.as_ref() == &v
-        ) || matches!(
-            f.as_ref(),
-            Expr::BinOp(gillian_solver::BinOp::Eq, _, b) if b.as_ref() == &v
-        )));
     }
 
     #[test]
     fn take_then_load_reports_missing() {
         let (types, solver) = setup();
         let mut heap = Heap::new();
-        let mut path = vec![];
-        let mut vars = VarGen::new();
         let addr = heap.alloc(Ty::usize());
-        with_ctx(&solver, &mut path, &mut vars, |ctx| {
+        with_pure_ctx(&solver, |ctx| {
             heap.store(&addr, &Ty::usize(), Expr::Int(3), &types, ctx)
                 .unwrap();
             let v = heap.take(&addr, &Ty::usize(), &types, ctx).unwrap();
@@ -1354,28 +1325,22 @@ mod tests {
         // writing one value at offset k extends the value region.
         let (types, solver) = setup();
         let mut heap = Heap::new();
-        let mut path = vec![];
-        let mut vars = VarGen::new();
-        let n = Expr::Var(vars.fresh());
-        let k = Expr::Var(vars.fresh());
-        let vs = Expr::Var(vars.fresh());
-        path.push(std::sync::Arc::new(Expr::le(Expr::Int(0), k.clone())));
-        path.push(std::sync::Arc::new(Expr::lt(k.clone(), n.clone())));
-        path.push(std::sync::Arc::new(Expr::eq(
-            Expr::seq_len(vs.clone()),
-            k.clone(),
-        )));
-        let elem = Ty::usize();
-        let addr = heap.alloc_array(elem.clone(), n.clone());
-        let elem_id = types.intern(&elem);
-        with_ctx(&solver, &mut path, &mut vars, |ctx| {
+        with_pure_ctx(&solver, |ctx| {
+            let n = ctx.fresh();
+            let k = ctx.fresh();
+            let vs = ctx.fresh();
+            assert!(ctx.assume(Expr::le(Expr::Int(0), k.clone())));
+            assert!(ctx.assume(Expr::lt(k.clone(), n.clone())));
+            assert!(ctx.assume(Expr::eq(Expr::seq_len(vs.clone()), k.clone())));
+            let elem = Ty::usize();
+            let addr = heap.alloc_array(elem.clone(), n);
+            let elem_id = types.intern(&elem);
             // Fill [0, k) with values.
             heap.take_uninit_slice(&addr, &elem, &k, &types, ctx)
                 .unwrap();
-            heap.give_slice(&addr, &elem, &k, vs.clone(), &types, ctx)
-                .unwrap();
+            heap.give_slice(&addr, &elem, &k, vs, &types, ctx).unwrap();
             // Write a single element at offset k.
-            let at_k = addr.clone().with_index(elem_id, k.clone());
+            let at_k = addr.clone().with_index(elem_id, k);
             heap.store(&at_k, &elem, Expr::Int(99), &types, ctx)
                 .unwrap();
             let back = heap.load(&at_k, &elem, &types, ctx).unwrap();
@@ -1387,10 +1352,8 @@ mod tests {
     fn free_whole_object() {
         let (types, solver) = setup();
         let mut heap = Heap::new();
-        let mut path = vec![];
-        let mut vars = VarGen::new();
         let addr = heap.alloc(Ty::usize());
-        with_ctx(&solver, &mut path, &mut vars, |ctx| {
+        with_pure_ctx(&solver, |ctx| {
             heap.store(&addr, &Ty::usize(), Expr::Int(1), &types, ctx)
                 .unwrap();
         });
@@ -1403,12 +1366,10 @@ mod tests {
     fn resolve_ptr_through_path_equality() {
         let (types, solver) = setup();
         let mut heap = Heap::new();
-        let mut path = vec![];
-        let mut vars = VarGen::new();
-        let p = Expr::Var(vars.fresh());
         let addr = heap.alloc(Ty::usize());
-        path.push(std::sync::Arc::new(Expr::eq(p.clone(), addr.to_expr())));
-        with_ctx(&solver, &mut path, &mut vars, |ctx| {
+        with_pure_ctx(&solver, |ctx| {
+            let p = ctx.fresh();
+            assert!(ctx.assume(Expr::eq(p.clone(), addr.to_expr())));
             let resolved = heap.resolve_ptr(&p, ctx, &types).unwrap();
             assert_eq!(resolved, addr);
         });
@@ -1418,10 +1379,8 @@ mod tests {
     fn resolve_ptr_or_bind_allocates_abstract_location() {
         let (types, solver) = setup();
         let mut heap = Heap::new();
-        let mut path = vec![];
-        let mut vars = VarGen::new();
-        let p = Expr::Var(vars.fresh());
-        with_ctx(&solver, &mut path, &mut vars, |ctx| {
+        with_pure_ctx(&solver, |ctx| {
+            let p = ctx.fresh();
             let (addr, facts) = heap.resolve_ptr_or_bind(&p, ctx, &types);
             assert!(addr.proj.is_empty());
             assert_eq!(facts.len(), 1);
@@ -1432,13 +1391,11 @@ mod tests {
     fn retype_array_only_when_uninit() {
         let (types, solver) = setup();
         let mut heap = Heap::new();
-        let mut path = vec![];
-        let mut vars = VarGen::new();
         let bytes = Expr::Int(32);
         let addr = heap.alloc_array(Ty::u8(), bytes);
         heap.retype_array(&addr, Ty::usize(), Expr::Int(4), addr.to_expr())
             .unwrap();
-        with_ctx(&solver, &mut path, &mut vars, |ctx| {
+        with_pure_ctx(&solver, |ctx| {
             let id = types.intern(&Ty::usize());
             let at0 = addr.clone().with_index(id, Expr::Int(0));
             heap.store(&at0, &Ty::usize(), Expr::Int(5), &types, ctx)

@@ -71,7 +71,7 @@ fn mut_auto_update(
         eprintln!("[tactic] consuming borrow body: {others_asrt}");
         eprintln!("[tactic] folded: {:?}", cfg.folded);
         eprintln!("[tactic] path:");
-        for f in &cfg.path {
+        for f in cfg.ctx.path() {
             eprintln!("    {f}");
         }
     }

@@ -550,9 +550,11 @@ impl SessionBuilder {
     }
 
     /// Selects the solver backend answering the session's pure queries
-    /// (defaults to [`BackendKind::CachedIncremental`]; the others exist for
-    /// the ablation benchmarks). Overrides any [`EngineOptions::backend`]
-    /// set through [`SessionBuilder::engine_options`].
+    /// (defaults to [`BackendKind::CachedIncremental`]; `OneShot` is the
+    /// differential reference, `IncrementalState` the uncached state the
+    /// default wraps, and `SmtLib` adds an external SMT-LIB2 process).
+    /// Overrides any [`EngineOptions::backend`] set through
+    /// [`SessionBuilder::engine_options`].
     pub fn backend(mut self, kind: BackendKind) -> Self {
         self.backend = Some(kind);
         self

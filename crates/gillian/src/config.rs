@@ -10,7 +10,6 @@
 use crate::state::{PureCtx, StateModel};
 use gillian_solver::{simplify, Expr, SolverCtx, Symbol, VarGen};
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// A folded user-predicate instance held in the symbolic state.
 #[derive(Clone, Debug, PartialEq)]
@@ -50,14 +49,10 @@ pub struct Config<S> {
     pub store: HashMap<Symbol, Expr>,
     /// The branch-scoped solver context: owns the asserted path condition π
     /// as interned terms. Queries (`feasible`, `entails`, `must_equal`) run
-    /// against it without re-shipping the fact vector.
+    /// against it without re-shipping the fact vector; structural scans
+    /// (pointer resolution, constructor-form lookups) and diagnostics read
+    /// π through [`SolverCtx::path`].
     pub ctx: SolverCtx,
-    /// An expression mirror of π, in assertion order, for structural scans
-    /// (pointer resolution, constructor-form lookups) and diagnostics. Kept
-    /// in sync by [`Config::assume`]; never queried through the solver. The
-    /// entries are the arena's own shared allocations, so cloning a config
-    /// at a branch point bumps refcounts instead of deep-cloning terms.
-    pub path: Vec<Arc<Expr>>,
     /// Fresh-variable generator.
     pub vars: VarGen,
     /// Folded user predicates.
@@ -79,7 +74,6 @@ impl<S: StateModel> Config<S> {
             state: S::empty(),
             store: HashMap::new(),
             ctx,
-            path: Vec::new(),
             vars: VarGen::new(),
             folded: Vec::new(),
             guarded: Vec::new(),
@@ -112,26 +106,17 @@ impl<S: StateModel> Config<S> {
 
     /// Opens a solver scope for a branch point: facts asserted afterwards
     /// belong to this branch. Clones made for sibling branches snapshot the
-    /// stack, so scopes document the branch structure for backends that
-    /// exploit it (e.g. a future SMT-LIB bridge).
+    /// stack; the SMT-LIB bridge mirrors each scope into its solver process
+    /// as `(push 1)`/`(pop 1)`, so sibling branches share the prefix.
     pub fn branch_scope(&self) {
         self.ctx.push();
     }
 
     /// Adds a fact to the path condition; returns `false` when the path has
     /// become definitely infeasible. The fact is interned and asserted into
-    /// the solver context once, and mirrored into [`Config::path`].
+    /// the solver context once.
     pub fn assume(&mut self, fact: Expr) -> bool {
-        let (simplified, feasible) = self.ctx.assume(&fact);
-        if simplified.as_bool() != Some(true) {
-            self.path.push(simplified);
-        }
-        feasible
-    }
-
-    /// Read-only view of the path mirror as plain expressions.
-    pub fn path_exprs(&self) -> impl Iterator<Item = &Expr> {
-        self.path.iter().map(|e| e.as_ref())
+        self.ctx.assume(&fact)
     }
 
     /// Is the path condition still possibly satisfiable?
@@ -159,7 +144,6 @@ impl<S: StateModel> Config<S> {
     pub fn with_ctx<R>(&mut self, f: impl FnOnce(&S, &mut PureCtx<'_>) -> R) -> R {
         let mut ctx = PureCtx {
             ctx: &self.ctx,
-            path: &mut self.path,
             vars: &mut self.vars,
         };
         f(&self.state, &mut ctx)
@@ -225,13 +209,22 @@ mod tests {
     fn cloned_branches_are_independent() {
         let mut cfg = config();
         let v = cfg.fresh();
-        assert!(cfg.assume(Expr::lt(Expr::Int(0), v.clone())));
+        let prefix = Expr::lt(Expr::Int(0), v.clone());
+        let zero = Expr::eq(v.clone(), Expr::Int(0));
+        let one = Expr::eq(v, Expr::Int(1));
+        assert!(cfg.assume(prefix.clone()));
         cfg.branch_scope();
         let mut other = cfg.clone();
-        assert!(!other.assume(Expr::eq(v.clone(), Expr::Int(0))));
-        assert!(cfg.assume(Expr::eq(v, Expr::Int(1))));
+        assert!(!other.assume(zero.clone()));
+        assert!(cfg.assume(one.clone()));
         assert!(cfg.feasible());
         assert!(!other.feasible());
+        // Each side sees the shared prefix plus only its own fact.
+        let path = |c: &Config<EmptyState>| -> Vec<Expr> {
+            c.ctx.path().iter().map(|f| (**f).clone()).collect()
+        };
+        assert_eq!(path(&cfg), vec![simplify(&prefix), simplify(&one)]);
+        assert_eq!(path(&other), vec![simplify(&prefix), simplify(&zero)]);
     }
 
     #[test]

@@ -150,10 +150,11 @@ pub struct EngineOptions {
     /// panicking is well-defined behaviour).
     pub panics_are_safe: bool,
     /// Which solver backend answers pure queries
-    /// ([`BackendKind::CachedIncremental`] by default; the others exist for
-    /// the ablation benchmarks and as templates for new backends;
-    /// [`BackendKind::SmtLib`] additionally drives an external SMT-LIB2
-    /// process for queries the in-repo kernel cannot refute).
+    /// ([`BackendKind::CachedIncremental`] by default;
+    /// [`BackendKind::OneShot`] is the differential reference and
+    /// [`BackendKind::IncrementalState`] the uncached state the default
+    /// wraps; [`BackendKind::SmtLib`] additionally drives an external
+    /// SMT-LIB2 process for queries the in-repo kernel cannot refute).
     pub backend: BackendKind,
     /// Wall-clock time box for each external SMT solve (milliseconds;
     /// [`BackendKind::SmtLib`] only). On timeout the solver process is
@@ -1265,10 +1266,10 @@ impl<S: StateModel> Engine<S> {
                     if failed.get(&key).is_some_and(|&d| d >= depth) {
                         return false;
                     }
-                    // Snapshot the mirror (refcount bumps only — the entries
+                    // Snapshot the path (refcount bumps only — the entries
                     // are shared arena allocations) and borrow the equation
                     // sides out of it: no term is deep-cloned here.
-                    let path: Vec<std::sync::Arc<Expr>> = cfg.path.clone();
+                    let path = cfg.ctx.path();
                     let mut ctor_facts: Vec<(&Expr, &Expr)> = Vec::new();
                     for fact in &path {
                         if let Expr::BinOp(gillian_solver::BinOp::Eq, a, b) = fact.as_ref() {
@@ -1530,6 +1531,8 @@ impl<S: StateModel> Engine<S> {
     /// a path-condition fact mentioning both sides.
     fn relatedness(&self, cfg: &Config<S>, args: &[Expr], hint: &[Expr]) -> Option<Relatedness> {
         let mut via_path = false;
+        // Snapshotted once, by the first pair that needs it.
+        let mut path = None;
         for a in args {
             if a.is_literal() {
                 continue;
@@ -1542,12 +1545,10 @@ impl<S: StateModel> Engine<S> {
                     return Some(Relatedness::Direct);
                 }
                 if !via_path {
-                    for fact in cfg.path_exprs() {
-                        if contains_expr(fact, a) && contains_expr(fact, h) {
-                            via_path = true;
-                            break;
-                        }
-                    }
+                    via_path = path
+                        .get_or_insert_with(|| cfg.ctx.path())
+                        .iter()
+                        .any(|fact| contains_expr(fact, a) && contains_expr(fact, h));
                 }
             }
         }
@@ -1985,8 +1986,9 @@ impl<S: StateModel> Engine<S> {
                 if cfg.feasible() {
                     if debug_enabled() {
                         eprintln!("--- reachable failure in {}: {msg}", proc.name);
-                        eprintln!("path ({}):", cfg.path.len());
-                        for f in &cfg.path {
+                        let path = cfg.ctx.path();
+                        eprintln!("path ({}):", path.len());
+                        for f in &path {
                             eprintln!("  {f}");
                         }
                         eprintln!(

@@ -6,21 +6,18 @@
 //! The engine is otherwise completely generic.
 
 use gillian_solver::{simplify, Expr, Solver, SolverCtx, Symbol, TermId, VarGen};
-use std::sync::Arc;
 
 /// Pure reasoning context handed to the state model: the branch-scoped
-/// [`SolverCtx`] (which owns the asserted path condition), an expression
-/// mirror of the path for structural scans, and the fresh-variable
-/// generator.
+/// [`SolverCtx`] (which owns the asserted path condition) and the
+/// fresh-variable generator.
 ///
 /// Queries go through the solver context — facts are interned terms,
-/// asserted once when learned. The `path` mirror holds the same facts as
-/// simplified expressions so state models can pattern-match on them (e.g.
-/// pointer resolution scanning for `p == ptr_shape` equalities) without
-/// resolving ids.
+/// asserted once when learned. State models that pattern-match on the
+/// facts (e.g. pointer resolution scanning for `p == ptr_shape`
+/// equalities) read them as simplified expressions through
+/// [`SolverCtx::path`].
 pub struct PureCtx<'a> {
     pub ctx: &'a SolverCtx,
-    pub path: &'a mut Vec<Arc<Expr>>,
     pub vars: &'a mut VarGen,
 }
 
@@ -38,16 +35,7 @@ impl<'a> PureCtx<'a> {
     /// Adds a fact to the path condition. Returns `false` if the path has
     /// become definitely infeasible (the caller should prune/vanish).
     pub fn assume(&mut self, fact: Expr) -> bool {
-        let (simplified, feasible) = self.ctx.assume(&fact);
-        if simplified.as_bool() != Some(true) {
-            self.path.push(simplified);
-        }
-        feasible
-    }
-
-    /// Read-only view of the path mirror as plain expressions.
-    pub fn path_exprs(&self) -> impl Iterator<Item = &Expr> {
-        self.path.iter().map(|e| e.as_ref())
+        self.ctx.assume(&fact)
     }
 
     /// Is the current path condition still possibly satisfiable?
@@ -129,11 +117,9 @@ impl<'a> PureCtx<'a> {
 /// given solver hub.
 pub fn with_pure_ctx<R>(solver: &Solver, f: impl FnOnce(&mut PureCtx<'_>) -> R) -> R {
     let ctx = solver.ctx();
-    let mut path: Vec<Arc<Expr>> = Vec::new();
     let mut vars = VarGen::new();
     let mut pure = PureCtx {
         ctx: &ctx,
-        path: &mut path,
         vars: &mut vars,
     };
     f(&mut pure)
@@ -309,23 +295,38 @@ mod tests {
         });
     }
 
+    /// The path condition lives only on the solver context, and the
+    /// structural scans read it at rest: `assume` records each simplified
+    /// fact once and skips trivially-true ones, and the transient scopes of
+    /// the pure queries leave it exactly as it was.
     #[test]
     fn pure_ctx_mirrors_assumed_facts() {
         let solver = Solver::new();
-        let ctx = solver.ctx();
-        let mut path = Vec::new();
-        let mut vars = VarGen::new();
-        let mut pure = PureCtx {
-            ctx: &ctx,
-            path: &mut path,
-            vars: &mut vars,
-        };
-        let x = pure.fresh();
-        let fact = Expr::eq(x, Expr::Int(3));
-        assert!(pure.assume(fact.clone()));
-        assert_eq!(path.len(), 1);
-        assert_eq!(*path[0], fact);
-        assert_eq!(ctx.assertions().len(), 1);
+        with_pure_ctx(&solver, |pure| {
+            let x = pure.fresh();
+            let y = pure.fresh();
+            let fact = Expr::eq(x.clone(), Expr::Int(3));
+            assert!(pure.assume(fact.clone()));
+            assert!(pure.assume(Expr::le(Expr::Int(1), Expr::Int(2))));
+            let at_rest = pure.ctx.path();
+            assert_eq!(at_rest.len(), 1, "a trivially-true fact is left out");
+            assert_eq!(*at_rest[0], fact);
+
+            // `y < 6` needs the extra hypothesis, so the scoped path runs.
+            let extra = [Expr::lt(y.clone(), Expr::Int(5))];
+            assert!(pure.entails_under(&extra, &Expr::lt(y.clone(), Expr::Int(6))));
+            assert!(pure.possibly_under(&extra, &Expr::eq(y, Expr::Int(4))));
+            assert!(!pure.possibly(&Expr::eq(x, Expr::Int(4))));
+            assert_eq!(pure.ctx.path(), at_rest, "queries leave the path as it was");
+
+            // A fact that simplifies to `false` is kept: it is what makes
+            // the path infeasible.
+            assert!(!pure.assume(Expr::lt(Expr::Int(2), Expr::Int(1))));
+            let path = pure.ctx.path();
+            assert_eq!(path.len(), 2);
+            assert_eq!(*path[0], fact);
+            assert_eq!(*path[1], Expr::Bool(false));
+        });
     }
 
     #[test]

@@ -8,8 +8,10 @@
 //! it into a fresh **kernel-only** solver and asks `check_unsat`. The kernel
 //! is sound for refutation — it only answers "unsat" when the facts really
 //! are contradictory — so every GL041 is a true positive. No SMT process is
-//! ever spawned: the solver hub is built with [`BackendKind::Incremental`],
-//! which wires the in-process eager kernel backend.
+//! ever spawned: the solver hub is built with [`BackendKind::OneShot`], the
+//! in-process reference backend, which answers the pass's single query per
+//! context with one simplify → flatten → refute over the asserted facts,
+//! case splits included, within a 128-leaf budget.
 
 use crate::{ItemKind, LintDiagnostic, LintOptions, LintSpan, Severity};
 use gillian_engine::asrt::{Asrt, Spec};
@@ -89,9 +91,9 @@ pub(crate) fn lint_vacuity<'a>(
     let start = Instant::now();
     let mut diags = Vec::new();
     let mut overruns = Vec::new();
-    // Kernel-only hub: `Incremental` never builds the SMT bridge, so no
+    // Kernel-only hub: `OneShot` never builds the SMT bridge, so no
     // external process can be spawned no matter what the environment says.
-    let mut solver = Solver::with_backend(BackendKind::Incremental);
+    let mut solver = Solver::with_backend(BackendKind::OneShot);
     // Vacuity only needs refutation of a conjunction of ground-ish facts;
     // a tight case budget time-boxes pathological disjunctions.
     solver.case_budget = 128;
@@ -198,6 +200,65 @@ mod tests {
             Asrt::Emp,
         );
         assert_eq!(run(&prog, &spec), vec!["GL041"]);
+    }
+
+    #[test]
+    fn contradiction_behind_a_case_split_is_gl041() {
+        // bit(x): x == 0 | x == 1 — inlined as a disjunction, so refuting
+        // `b == 2` takes the kernel's case split.
+        let mut prog = Prog::new();
+        prog.add_pred(Pred::new(
+            "bit",
+            &["x"],
+            1,
+            vec![
+                Asrt::Pure(Expr::eq(Expr::lvar("x"), Expr::Int(0))),
+                Asrt::Pure(Expr::eq(Expr::lvar("x"), Expr::Int(1))),
+            ],
+        ));
+        let spec = Spec::new(
+            "f",
+            Asrt::Star(vec![
+                Asrt::Pred {
+                    name: Symbol::new("bit"),
+                    args: vec![Expr::lvar("b")],
+                },
+                Asrt::Observation(Expr::eq(Expr::lvar("b"), Expr::Int(2))),
+            ]),
+            Asrt::Emp,
+        );
+        assert_eq!(run(&prog, &spec), vec!["GL041"]);
+    }
+
+    #[test]
+    fn contradiction_beyond_the_case_budget_is_not_flagged() {
+        // Eight two-way observations and a sum none of their 2^8 = 256
+        // combinations reaches: refuting it takes every leaf, twice the
+        // pass's 128-case budget, so the pass gives up and stays silent.
+        let a = |i: usize| Expr::lvar(&format!("a{i}"));
+        let mut atoms: Vec<Asrt> = (0..8)
+            .map(|i| {
+                Asrt::Observation(Expr::or(
+                    Expr::eq(a(i), Expr::Int(0)),
+                    Expr::eq(a(i), Expr::Int(1)),
+                ))
+            })
+            .collect();
+        let sum = (1..8).fold(a(0), |acc, i| Expr::add(acc, a(i)));
+        atoms.push(Asrt::Observation(Expr::eq(sum, Expr::Int(9))));
+        let prog = Prog::new();
+        let spec = Spec::new("f", Asrt::Star(atoms), Asrt::Emp);
+        assert!(run(&prog, &spec).is_empty());
+
+        // The contradiction is real: a budget covering every leaf refutes it.
+        let mut solver = Solver::with_backend(BackendKind::OneShot);
+        solver.case_budget = 1024;
+        let ctx = solver.ctx();
+        for e in pure_part(&prog, &spec.pre) {
+            ctx.assert_expr(&e);
+        }
+        assert!(ctx.check_unsat());
+        assert_eq!(solver.stats().cases_explored, 256);
     }
 
     #[test]

@@ -107,6 +107,14 @@ impl TermArena {
         Arc::clone(&self.inner.read().unwrap().terms[t.0 as usize].expr)
     }
 
+    /// The expressions behind a run of ids, in order, under one read lock.
+    pub(crate) fn resolve_all(&self, ts: &[TermId]) -> Vec<Arc<Expr>> {
+        let inner = self.inner.read().unwrap();
+        ts.iter()
+            .map(|t| Arc::clone(&inner.terms[t.0 as usize].expr))
+            .collect()
+    }
+
     /// The expression behind an id as an owned value.
     pub fn resolve_owned(&self, t: TermId) -> Expr {
         (*self.resolve(t)).clone()

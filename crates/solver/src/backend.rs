@@ -7,16 +7,13 @@
 //! and queries in place — instead of shipping the whole path condition on
 //! every call.
 //!
-//! Four in-repo backends ship today:
+//! Three in-repo kernel backends ship, plus the external SMT-LIB bridge
+//! ([`crate::smtlib::SmtBackend`]):
 //!
-//! * [`OneShotBackend`] — the pre-redesign behaviour: every query re-resolves
-//!   and re-simplifies the whole assertion stack from scratch. Kept as the
-//!   ablation baseline.
-//! * [`EagerBackend`] — incremental *assertion processing*: facts are
-//!   simplified (memoised in the [`TermArena`]) and flattened into literals
-//!   once, at assert time; a definitely-false assertion short-circuits every
-//!   later query in the scope — but every query still re-runs the
-//!   refutation kernel over the whole literal set.
+//! * [`OneShotBackend`] — the reference: every query re-resolves and
+//!   re-simplifies the whole assertion stack and runs the refutation kernel
+//!   from scratch. The differential tests check the other backends against
+//!   it, and the lint vacuity pass (one query per fresh context) runs on it.
 //! * [`IncrementalStateBackend`] — incremental *theory state*: a persistent
 //!   congruence/linear closure with an undo trail does each literal's theory
 //!   work once; queries consult the maintained closure and only re-split
@@ -28,8 +25,8 @@
 //!   The default ([`BackendKind::CachedIncremental`]) wraps the
 //!   incremental-state backend.
 //!
-//! Adding a backend (e.g. an SMT-LIB bridge) means implementing the trait's
-//! five core operations; `entails` can lean on [`entails_by_decomposition`].
+//! Adding a backend means implementing the trait's five core operations;
+//! `entails` can lean on [`entails_by_decomposition`].
 
 use crate::arena::{TermArena, TermId};
 use crate::expr::{BinOp, Expr};
@@ -195,14 +192,13 @@ impl AtomicSolverStats {
 /// Which backend a [`crate::Solver`] hands out from [`crate::Solver::ctx`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum BackendKind {
-    /// [`OneShotBackend`]: re-simplify everything on every query.
+    /// [`OneShotBackend`]: re-simplify everything on every query (the
+    /// differential reference).
     OneShot,
-    /// [`EagerBackend`]: incremental assertion processing, no cache, but the
-    /// kernel still re-runs over the whole literal set per query.
-    Incremental,
     /// [`IncrementalStateBackend`]: persistent congruence/linear state with
     /// an undo trail — queries consult the maintained closure and only
-    /// re-split disjunctive literals.
+    /// re-split disjunctive literals. Uncached, so tests reach the trail
+    /// undo without cache hits answering first.
     IncrementalState,
     /// [`CachingBackend`] over [`IncrementalStateBackend`]: the default.
     #[default]
@@ -216,18 +212,16 @@ pub enum BackendKind {
 
 impl BackendKind {
     /// Every in-repo backend, in ablation order.
-    pub const ALL: [BackendKind; 4] = [
+    pub const ALL: [BackendKind; 3] = [
         BackendKind::OneShot,
-        BackendKind::Incremental,
         BackendKind::IncrementalState,
         BackendKind::CachedIncremental,
     ];
 
     /// Every selectable backend, including the external SMT-LIB bridge
     /// (which degrades to the kernel when no solver binary is probed).
-    pub const ALL_WITH_SMT: [BackendKind; 5] = [
+    pub const ALL_WITH_SMT: [BackendKind; 4] = [
         BackendKind::OneShot,
-        BackendKind::Incremental,
         BackendKind::IncrementalState,
         BackendKind::CachedIncremental,
         BackendKind::SmtLib,
@@ -237,7 +231,6 @@ impl BackendKind {
     pub fn label(self) -> &'static str {
         match self {
             BackendKind::OneShot => "one-shot",
-            BackendKind::Incremental => "incremental",
             BackendKind::IncrementalState => "incremental-state",
             BackendKind::CachedIncremental => "cached-incremental",
             BackendKind::SmtLib => "smtlib",
@@ -282,9 +275,13 @@ pub trait SolverBackend: Send {
         true
     }
 
-    /// The raw asserted ids, in assertion order (diagnostics and tests).
-    /// Returns a borrowed slice: this is called on hot clone/debug paths,
-    /// where the previous `Vec` return cloned the whole stack per call.
+    /// The ids passed to [`SolverBackend::assert`] in the open scopes, in
+    /// assertion order. This backs [`crate::SolverCtx::path`], the only copy
+    /// of the path condition that the engine's structural scans read, so
+    /// the order and the contents at rest (no transient `push`/`pop` pair
+    /// open) are load-bearing: every fact asserted and not popped, each
+    /// exactly as asserted, nothing else. Borrowed, so reading it costs no
+    /// copy of the stack.
     fn assertions(&self) -> &[TermId];
 
     /// Clones the backend for a branching symbolic execution: the clone gets
@@ -350,13 +347,15 @@ pub fn entails_by_decomposition<B: SolverBackend + ?Sized>(
 }
 
 // ---------------------------------------------------------------------------
-// One-shot baseline
+// One-shot reference
 // ---------------------------------------------------------------------------
 
-/// The ablation baseline: stores raw asserted ids and, on **every** query,
+/// The reference backend: stores raw asserted ids and, on **every** query,
 /// re-resolves and re-simplifies the whole stack from scratch (no arena
-/// memoisation, no cache) — the cost profile of the pre-redesign
-/// `&[Expr]`-slice API.
+/// memoisation, no cache) and runs the refutation kernel over the result.
+/// The differential tests compare every other backend against it, and the
+/// lint vacuity pass uses it: one query per fresh context, which is exactly
+/// one simplify → flatten → refute, and no SMT process.
 #[derive(Debug)]
 pub struct OneShotBackend {
     stats: Arc<AtomicSolverStats>,
@@ -401,8 +400,8 @@ impl SolverBackend for OneShotBackend {
         let mut literals = Vec::new();
         let mut definitely_false = false;
         for &id in &self.asserted {
-            // Deliberately the free-function simplifier: the baseline re-does
-            // the full simplification walk per query.
+            // Deliberately the free-function simplifier: the reference
+            // re-does the full simplification walk per query.
             let s = simplify(&arena.resolve(id));
             kernel::flatten_conjuncts(&s, &mut literals, &mut definitely_false);
         }
@@ -442,119 +441,6 @@ impl SolverBackend for OneShotBackend {
             case_budget: self.case_budget,
             asserted: self.asserted.clone(),
             scopes: self.scopes.clone(),
-            last_complete: self.last_complete,
-        })
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Incremental (eager) backend
-// ---------------------------------------------------------------------------
-
-#[derive(Clone, Copy, Debug)]
-struct EagerScope {
-    lits: usize,
-    raw: usize,
-    definitely_false: bool,
-}
-
-/// The incremental backend: each asserted fact is simplified through the
-/// arena's memo table and flattened into literals exactly once; queries reuse
-/// the flattened literal stack. A fact that simplifies to `false` poisons the
-/// scope, short-circuiting every later query without touching the kernel.
-/// (`Clone` because the SMT-LIB backend embeds one as its kernel half.)
-#[derive(Clone, Debug)]
-pub struct EagerBackend {
-    stats: Arc<AtomicSolverStats>,
-    case_budget: usize,
-    /// Flattened, simplified literals (shared allocations from the arena).
-    lits: Vec<Arc<Expr>>,
-    /// Raw asserted ids, in assertion order.
-    raw: Vec<TermId>,
-    scopes: Vec<EagerScope>,
-    definitely_false: bool,
-    last_complete: bool,
-}
-
-impl EagerBackend {
-    pub(crate) fn new(stats: Arc<AtomicSolverStats>, case_budget: usize) -> Self {
-        EagerBackend {
-            stats,
-            case_budget,
-            lits: Vec::new(),
-            raw: Vec::new(),
-            scopes: Vec::new(),
-            definitely_false: false,
-            last_complete: true,
-        }
-    }
-}
-
-impl SolverBackend for EagerBackend {
-    fn name(&self) -> &'static str {
-        BackendKind::Incremental.label()
-    }
-
-    fn push(&mut self) {
-        self.scopes.push(EagerScope {
-            lits: self.lits.len(),
-            raw: self.raw.len(),
-            definitely_false: self.definitely_false,
-        });
-    }
-
-    fn pop(&mut self) {
-        if let Some(mark) = self.scopes.pop() {
-            self.lits.truncate(mark.lits);
-            self.raw.truncate(mark.raw);
-            self.definitely_false = mark.definitely_false;
-        }
-    }
-
-    fn assert(&mut self, arena: &TermArena, fact: TermId) {
-        self.raw.push(fact);
-        let simplified = arena.resolve(arena.simplify(fact));
-        kernel::flatten_shared(&simplified, &mut self.lits, &mut self.definitely_false);
-    }
-
-    fn check_unsat(&mut self, arena: &TermArena) -> bool {
-        let _ = arena;
-        if self.definitely_false {
-            self.last_complete = true;
-            return true;
-        }
-        let start = Instant::now();
-        let out = kernel::refute(&self.lits, self.case_budget);
-        self.last_complete = !out.budget_exhausted;
-        self.stats
-            .cases_explored
-            .fetch_add(out.leaf_cases, Ordering::Relaxed);
-        self.stats
-            .kernel_nanos
-            .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        out.refuted
-    }
-
-    fn entails(&mut self, arena: &TermArena, goal: TermId) -> bool {
-        entails_by_decomposition(self, arena, goal)
-    }
-
-    fn last_query_complete(&self) -> bool {
-        self.last_complete
-    }
-
-    fn assertions(&self) -> &[TermId] {
-        &self.raw
-    }
-
-    fn boxed_clone(&self) -> Box<dyn SolverBackend> {
-        Box::new(EagerBackend {
-            stats: Arc::clone(&self.stats),
-            case_budget: self.case_budget,
-            lits: self.lits.clone(),
-            raw: self.raw.clone(),
-            scopes: self.scopes.clone(),
-            definitely_false: self.definitely_false,
             last_complete: self.last_complete,
         })
     }
@@ -1118,10 +1004,10 @@ mod inflight_tests {
             let stats = Arc::clone(&stats);
             std::thread::spawn(move || {
                 let mut b = CachingBackend::new(
-                    Box::new(EagerBackend::new(Arc::clone(&stats), 512)),
+                    Box::new(OneShotBackend::new(Arc::clone(&stats), 512)),
                     cache,
                     stats,
-                    "caching-eager",
+                    "caching-one-shot",
                 );
                 for f in &facts {
                     let id = arena.intern(f);

@@ -338,7 +338,7 @@ struct StateMark {
 ///   up to N × the per-solve Fourier–Motzkin round cap while a batch
 ///   backend gets one cap's worth per query. On derivation chains longer
 ///   than a single solve's reach this state can therefore refute/entail
-///   strictly **more** than one-shot/eager — never less, and never
+///   strictly **more** than the one-shot reference — never less, and never
 ///   unsoundly (a flipped verdict is always in the proves-more direction).
 ///   Cross-backend agreement suites must stay within single-solve reach
 ///   (the differential test and scale bench do, by construction) or accept

@@ -24,8 +24,8 @@
 
 use crate::arena::{TermArena, TermId};
 use crate::backend::{
-    AtomicSolverStats, BackendKind, CachingBackend, EagerBackend, IncrementalStateBackend,
-    OneShotBackend, QueryCache, SolverBackend, SolverStats,
+    AtomicSolverStats, BackendKind, CachingBackend, IncrementalStateBackend, OneShotBackend,
+    QueryCache, SolverBackend, SolverStats,
 };
 use crate::expr::Expr;
 use crate::smtlib::{SmtBackend, SmtOptions, SmtShared};
@@ -153,9 +153,6 @@ impl Solver {
                 Arc::clone(&self.stats),
                 self.case_budget,
             )),
-            BackendKind::Incremental => {
-                Box::new(EagerBackend::new(Arc::clone(&self.stats), self.case_budget))
-            }
             BackendKind::IncrementalState => Box::new(IncrementalStateBackend::new(
                 Arc::clone(&self.stats),
                 self.case_budget,
@@ -231,7 +228,7 @@ impl std::fmt::Debug for SolverCtx {
             f,
             "SolverCtx({}, {} assertions)",
             self.kind,
-            self.assertions_len()
+            self.backend.borrow().assertions().len()
         )
     }
 }
@@ -296,37 +293,29 @@ impl SolverCtx {
         t
     }
 
-    /// The raw asserted ids, in assertion order. (Collected into a `Vec`
-    /// because the backend sits behind a `RefCell`; backends themselves hand
-    /// out a borrowed slice, so hot paths that only need the length or a
-    /// scan go through [`SolverCtx::assertions_len`] / the backend.)
-    pub fn assertions(&self) -> Vec<TermId> {
-        self.backend.borrow().assertions().to_vec()
+    /// The path condition: every asserted fact, in assertion order, as the
+    /// arena's shared expressions (resolved under one arena read lock). A
+    /// snapshot: structural scans iterate it while issuing queries, whose
+    /// transient scopes would otherwise borrow the stack mid-scan.
+    pub fn path(&self) -> Vec<Arc<Expr>> {
+        self.arena.resolve_all(self.backend.borrow().assertions())
     }
 
-    /// Number of raw asserted ids (no allocation).
-    pub fn assertions_len(&self) -> usize {
-        self.backend.borrow().assertions().len()
-    }
-
-    /// Adds a fact to the path condition after simplifying it. Returns the
-    /// simplified fact — shared straight out of the arena, so callers
-    /// mirroring the path keep a refcount bump instead of a deep clone — and
+    /// Adds a fact to the path condition after simplifying it; returns
     /// whether the path is still possibly satisfiable (`false` means the
-    /// caller should prune/vanish). Trivially-true facts are not asserted.
-    pub fn assume(&self, fact: &Expr) -> (Arc<Expr>, bool) {
+    /// caller should prune/vanish). The simplified fact is what
+    /// [`SolverCtx::path`] shows; trivially-true facts are not asserted.
+    pub fn assume(&self, fact: &Expr) -> bool {
         let s = self.arena.simplify(self.arena.intern(fact));
-        let se = self.arena.resolve(s);
-        match se.as_bool() {
-            Some(true) => (se, true),
+        match self.arena.resolve(s).as_bool() {
+            Some(true) => true,
             Some(false) => {
                 self.assert_term(s);
-                (se, false)
+                false
             }
             None => {
                 self.assert_term(s);
-                let feasible = !self.check_unsat();
-                (se, feasible)
+                !self.check_unsat()
             }
         }
     }
@@ -656,8 +645,8 @@ mod tests {
         let ctx = hub.ctx();
         let mut g = VarGen::new();
         let x = g.fresh_expr();
-        assert!(ctx.assume(&Expr::eq(x.clone(), Expr::Int(1))).1);
-        assert!(!ctx.assume(&Expr::eq(x, Expr::Int(2))).1);
+        assert!(ctx.assume(&Expr::eq(x.clone(), Expr::Int(1))));
+        assert!(!ctx.assume(&Expr::eq(x, Expr::Int(2))));
         assert!(!ctx.feasible());
     }
 
@@ -682,7 +671,7 @@ mod tests {
             let mut g = VarGen::new();
             let x = g.fresh_expr();
             ctx.assert_expr(&Expr::lt(Expr::Int(0), x.clone()));
-            let before = ctx.assertions();
+            let before = ctx.path();
             assert!(ctx.feasible());
 
             ctx.push();
@@ -690,7 +679,7 @@ mod tests {
             assert!(!ctx.feasible(), "{kind}: contradiction inside the scope");
             ctx.pop();
 
-            assert_eq!(ctx.assertions(), before, "{kind}: stack restored");
+            assert_eq!(ctx.path(), before, "{kind}: stack restored");
             assert!(ctx.feasible(), "{kind}: satisfiable again after pop");
 
             // Nested scopes unwind one at a time.
@@ -699,7 +688,7 @@ mod tests {
             ctx.assert_expr(&Expr::eq(x.clone(), Expr::Int(5)));
             ctx.pop();
             ctx.pop();
-            assert_eq!(ctx.assertions(), before);
+            assert_eq!(ctx.path(), before);
         }
     }
 

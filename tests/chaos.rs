@@ -178,8 +178,12 @@ mod injection {
         }
     }
 
+    /// One Table 1 row's outcome: (row name, property, and per case its
+    /// name, whether it verified, and whether it carries a diagnostic).
+    type RowOutcome = (String, String, Vec<(String, bool, bool)>);
+
     /// (name, verified) per case of one full Table 1 run.
-    fn run_table1() -> Vec<(String, String, Vec<(String, bool, bool)>)> {
+    fn run_table1() -> Vec<RowOutcome> {
         table1_cases_with(1, 1)
             .into_iter()
             .map(|case| {
@@ -199,11 +203,7 @@ mod injection {
     /// The degraded-verdict invariant, case by case: a faulty run may fail
     /// where the clean run succeeded (with an explicit diagnostic), but may
     /// never verify what the clean run did not — and never drops cases.
-    fn assert_never_flipped(
-        clean: &[(String, String, Vec<(String, bool, bool)>)],
-        faulty: &[(String, String, Vec<(String, bool, bool)>)],
-        seed: u64,
-    ) {
+    fn assert_never_flipped(clean: &[RowOutcome], faulty: &[RowOutcome], seed: u64) {
         assert_eq!(clean.len(), faulty.len(), "seed {seed}: all rows ran");
         for ((row, prop, c_cases), (_, _, f_cases)) in clean.iter().zip(faulty.iter()) {
             assert_eq!(
