@@ -60,7 +60,8 @@ fn straight_line(n: usize) -> impl Fn(&gillian_solver::SolverCtx) {
             ));
             assert!(!ctx.check_unsat(), "the chain is satisfiable");
             if i % 8 == 7 {
-                // Within the Fourier–Motzkin round cap's single-solve reach.
+                // An equality chain: substitution makes any distance exact
+                // on every backend.
                 assert!(ctx.entails(&Expr::lt(var("x", i - 6), var("x", i + 1))));
             }
         }

@@ -310,7 +310,6 @@ struct StateMark {
     contradiction: bool,
     ground_at: usize,
     merges_scanned: usize,
-    lin_stale: bool,
     lin_epoch: u64,
 }
 
@@ -326,29 +325,36 @@ struct StateMark {
 ///   literals are present does it re-run the case split over them, asserting
 ///   each case's units into the same trail-scoped state (and memoising each
 ///   disjunct's decomposition, so an unchanged disjunct is never re-split).
+/// * Linear atoms are keyed by their congruence representative at assert
+///   time. A congruence merge that absorbs an atom-keyed class reaches the
+///   linear store as the equality `absorb == keep`, which substitutes the
+///   absorbed key away, so rows keyed before and after the merge meet. The
+///   store is rebuilt from the live unit literals only when it saturated
+///   and kept receiving rows.
 /// * **Soundness** (refuted ⇒ genuinely unsat) is preserved because every
 ///   maintained fact is a logical consequence of literals currently on the
-///   assertion stack: congruence merges and Fourier–Motzkin rows derived in
-///   a scope are rolled back with it, and linear atom keys are protected by
-///   a staleness watch — when a congruence merge absorbs a class that
-///   carries linear atoms, the linear context is rebuilt from the live
-///   unit literals (batch-equivalent keying) instead of trusting stale keys.
-/// * **Completeness is one-sided versus the batch kernel.** The maintained
-///   store keeps *sound* derivations across queries, so N solves accumulate
-///   up to N × the per-solve Fourier–Motzkin round cap while a batch
-///   backend gets one cap's worth per query. On derivation chains longer
-///   than a single solve's reach this state can therefore refute/entail
-///   strictly **more** than the one-shot reference — never less, and never
-///   unsoundly (a flipped verdict is always in the proves-more direction).
-///   Cross-backend agreement suites must stay within single-solve reach
-///   (the differential test and scale bench do, by construction) or accept
-///   the one-sided direction.
+///   assertion stack: congruence merges, linear eliminations (including
+///   the ones made from merges) and Fourier–Motzkin rows derived in a scope
+///   are rolled back with it.
+/// * **Completeness is one-sided versus the batch kernel on inequality
+///   chains.** Equalities with a unit coefficient are solved exactly on
+///   every backend, however long the chain. Inequalities are not: the
+///   maintained store keeps *sound* derivations across queries, so N
+///   solves accumulate up to N × the per-solve Fourier–Motzkin round cap
+///   while a batch backend gets one cap's worth per query. On inequality
+///   chains longer than a single solve's reach this state can therefore
+///   refute/entail strictly **more** than the one-shot reference — never
+///   less, and never unsoundly (a flipped verdict is always in the
+///   proves-more direction). Cross-backend agreement suites must keep
+///   inequality chains within single-solve reach (the differential test
+///   and scale bench do, by construction) or accept the one-sided
+///   direction.
 #[derive(Clone, Debug, Default)]
 pub struct IncrementalState {
     cc: Congruence,
     lin: Linear,
     /// Every unit literal currently asserted, in order — the linear rebuild
-    /// source after an atom-class merge.
+    /// source after saturation.
     units: Vec<Arc<Expr>>,
     /// Splittable literals (`∨`, `⟹`, arithmetic `≠`, boolean `ite`),
     /// decomposed lazily at check time.
@@ -367,13 +373,14 @@ pub struct IncrementalState {
     contradiction: bool,
     /// Merge-log length at the last ground (disequality/negation) recheck.
     ground_at: usize,
-    /// Merge-log length up to which the linear staleness watch has scanned.
+    /// Merge-log length up to which merges have been passed to the linear
+    /// store.
     merges_scanned: usize,
-    /// Set when a merge united two linear atom classes: the linear context
-    /// is rebuilt from `units` at the next check.
+    /// Set when a pop crossed a linear rebuild and dropped the store: it is
+    /// rebuilt from `units` at the next check.
     lin_stale: bool,
     /// Bumped at every linear rebuild; a pop across a rebuild cannot
-    /// truncate the rebuilt vector, so it resets and re-marks stale.
+    /// truncate the rebuilt vector, so it resets and marks it stale.
     lin_epoch: u64,
     scopes: Vec<StateMark>,
     /// Memoised decompositions, keyed by literal allocation (the held `Arc`
@@ -483,7 +490,6 @@ impl IncrementalState {
             contradiction: self.contradiction,
             ground_at: self.ground_at,
             merges_scanned: self.merges_scanned,
-            lin_stale: self.lin_stale,
             lin_epoch: self.lin_epoch,
         }
     }
@@ -492,7 +498,6 @@ impl IncrementalState {
         self.cc.undo_to(&m.cc);
         if self.lin_epoch == m.lin_epoch {
             self.lin.undo_to(&m.lin);
-            self.lin_stale = m.lin_stale;
         } else {
             // A rebuild happened inside the scope: the constraint vector no
             // longer corresponds to the snapshot's indices. Drop it and
@@ -623,14 +628,12 @@ impl IncrementalState {
         }
     }
 
-    /// Scans merges the staleness watch has not seen yet: any merge that
-    /// absorbs a class carrying linear atom keys invalidates the linear
-    /// keying — rows referencing the absorbed root can no longer meet rows
-    /// keyed under the surviving representative (even when the surviving
-    /// class carried no atoms *yet*: future rows will be keyed under it),
-    /// so the linear context must be rebuilt from the live units. A merge
-    /// whose absorbed class carries no atoms references no linear row and
-    /// is safe.
+    /// Passes the merges not yet seen to the linear store: a merge that
+    /// absorbs an atom-keyed class becomes the equality `absorb == keep`,
+    /// so rows referencing the absorbed root meet rows keyed under the
+    /// surviving representative (even when the surviving class carries no
+    /// atoms *yet*: later rows are keyed under it). A merge whose absorbed
+    /// root was never an atom key references no row and is skipped.
     fn process_merges(&mut self) {
         let log = self.cc.merge_log();
         if self.merges_scanned >= log.len() {
@@ -638,17 +641,17 @@ impl IncrementalState {
         }
         let fresh: Vec<_> = log[self.merges_scanned..].to_vec();
         self.merges_scanned = log.len();
-        for (_keep, absorb) in fresh {
+        for (keep, absorb) in fresh {
             if self.lin.is_atom(absorb) {
-                self.lin_stale = true;
-                break;
+                self.lin.assert_merge(absorb, keep);
             }
         }
     }
 
     /// Rebuilds the linear context from the live unit literals, keying every
     /// atom by its *current* congruence representative — exactly what the
-    /// batch kernel computes for the same conjunction.
+    /// batch kernel computes for the same conjunction. Only a saturated
+    /// store (or a pop across an earlier rebuild) needs it.
     fn rebuild_linear(&mut self) {
         self.lin_epoch += 1;
         self.lin_stale = false;
@@ -715,17 +718,11 @@ impl IncrementalState {
                 return;
             }
         }
-        // Linear: watch for stale atom keys or a saturated store with
-        // uncombined rows, rebuild if needed (bounded — a rebuild can
+        // Linear: pass new merges to the store as equalities, rebuild a
+        // saturated store that received uncombined rows (the rebuild can
         // itself trigger normalisation merges), then solve.
         self.process_merges();
-        if self.lin.needs_rebuild() {
-            self.lin_stale = true;
-        }
-        for _ in 0..2 {
-            if !self.lin_stale {
-                break;
-            }
+        if self.lin_stale || self.lin.needs_rebuild() {
             self.rebuild_linear();
             self.process_merges();
         }
@@ -873,4 +870,64 @@ fn is_seq_structured(e: &Expr) -> bool {
             | Expr::BinOp(BinOp::SeqRepeat, _, _)
             | Expr::NOp(_, _)
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::expr::VarGen;
+
+    #[test]
+    fn merges_of_atom_keyed_classes_do_not_rebuild_the_linear_store() {
+        // The sequence of `interleaved_checks_do_not_stale_linear_atom_keys`:
+        // the merge `f(a) ~ f(b)` absorbs an atom-keyed class, and reaches
+        // the linear store as an equality instead of a rebuild.
+        let mut g = VarGen::new();
+        let (a, b, q) = (g.fresh_expr(), g.fresh_expr(), g.fresh_expr());
+        let fa = Expr::app("f", vec![a.clone()]);
+        let fb = Expr::app("f", vec![b.clone()]);
+        let mut st = IncrementalState::new();
+        for lit in [
+            Expr::ne(q, fb.clone()),
+            Expr::ge(fa, Expr::Int(3)),
+            Expr::eq(a, b),
+        ] {
+            st.assert_lit(&Arc::new(lit));
+        }
+        assert!(!st.check(64).refuted);
+        st.assert_lit(&Arc::new(Expr::lt(fb, Expr::Int(3))));
+        assert!(st.check(64).refuted);
+        assert_eq!(st.lin_epoch, 0, "no linear rebuild");
+    }
+
+    #[test]
+    fn a_pop_across_a_saturation_rebuild_rebuilds_from_the_surviving_units() {
+        let add = |st: &mut IncrementalState, e: Expr| st.assert_lit(&Arc::new(e));
+        let v = |name: &str, i: usize| Expr::lvar(&format!("{name}{i}"));
+        let (x, y, z) = (Expr::lvar("x"), Expr::lvar("y"), Expr::lvar("z"));
+        let mut st = IncrementalState::new();
+        add(
+            &mut st,
+            Expr::eq(y.clone(), Expr::add(z.clone(), Expr::Int(1))),
+        );
+        // 70 lower and 70 upper bounds on `x` derive 4900 rows in one
+        // round: the store saturates at its row cap.
+        for i in 0..70 {
+            add(&mut st, Expr::le(v("lo", i), x.clone()));
+            add(&mut st, Expr::le(x.clone(), v("hi", i)));
+        }
+        assert!(!st.check(64).refuted);
+        assert_eq!(st.lin_epoch, 0, "saturating alone does not rebuild");
+        st.push();
+        add(&mut st, Expr::le(Expr::lvar("w"), Expr::Int(0)));
+        assert!(st.lin.needs_rebuild(), "a row after saturation");
+        assert!(!st.check(64).refuted);
+        assert_eq!(st.lin_epoch, 1, "rebuilt on saturation");
+        // The rebuilt store goes with the scope; the next check rebuilds it
+        // from the surviving units, `y == z + 1`'s elimination included.
+        st.pop();
+        add(&mut st, Expr::eq(z, y));
+        assert!(st.check(64).refuted);
+        assert_eq!(st.lin_epoch, 2);
+    }
 }

@@ -592,12 +592,14 @@ mod tests {
     #[test]
     fn interleaved_checks_do_not_stale_linear_atom_keys() {
         // Regression: a congruence merge absorbing an atom-keyed class into
-        // a class that carries no atoms *yet* must still invalidate the
-        // linear keying — rows added later are keyed under the surviving
+        // a class that carries no atoms *yet* must still reach the linear
+        // store — rows added later are keyed under the surviving
         // representative and would otherwise never meet the absorbed-key
-        // rows. The `q != f(b)` fact interns `f(b)` early so the merge
-        // keeps its (atom-free) class as representative; the interleaved
-        // check forces the incremental state to settle mid-sequence.
+        // rows. The merge arrives as the equality `f(a) == f(b)`, which
+        // substitutes the absorbed key away. The `q != f(b)` fact interns
+        // `f(b)` early so the merge keeps its (atom-free) class as
+        // representative; the interleaved check forces the incremental
+        // state to settle mid-sequence.
         for kind in BackendKind::ALL {
             let hub = Solver::with_backend(kind);
             let ctx = hub.ctx();
@@ -614,6 +616,75 @@ mod tests {
                 ctx.check_unsat(),
                 "{kind}: f(a) >= 3, a == b, f(b) < 3 must refute"
             );
+        }
+    }
+
+    #[test]
+    fn merge_equalities_roll_back_with_their_scope() {
+        for kind in BackendKind::ALL {
+            let hub = Solver::with_backend(kind);
+            let ctx = hub.ctx();
+            let mut g = VarGen::new();
+            let (a, b) = (g.fresh_expr(), g.fresh_expr());
+            let fa = Expr::app("f", vec![a.clone()]);
+            let fb = Expr::app("f", vec![b.clone()]);
+            ctx.assert_expr(&Expr::ge(fa, Expr::Int(3)));
+            assert!(!ctx.check_unsat(), "{kind}: f(a) >= 3 alone");
+            ctx.push();
+            ctx.assert_expr(&Expr::eq(a, b));
+            ctx.assert_expr(&Expr::lt(fb.clone(), Expr::Int(3)));
+            assert!(
+                ctx.check_unsat(),
+                "{kind}: f(a) >= 3, a == b, f(b) < 3 must refute"
+            );
+            ctx.pop();
+            ctx.assert_expr(&Expr::lt(fb, Expr::Int(3)));
+            assert!(
+                !ctx.check_unsat(),
+                "{kind}: without a == b, f(b) < 3 is satisfiable"
+            );
+        }
+    }
+
+    #[test]
+    fn overflowing_coefficients_do_not_refute() {
+        // `x <= usize::MAX` and `usize::MAX * x >= 1` hold at x = 1.
+        // Eliminating x multiplies the two coefficients, and 2^128 does not
+        // fit in i128: a wrapped product would read as a contradiction.
+        let max = Expr::Int(u64::MAX as i128);
+        for kind in BackendKind::ALL {
+            let hub = Solver::with_backend(kind);
+            let ctx = hub.ctx();
+            let x = Expr::lvar("x");
+            ctx.assert_expr(&Expr::le(x.clone(), max.clone()));
+            ctx.assert_expr(&Expr::ge(Expr::mul(max.clone(), x), Expr::Int(1)));
+            assert!(!ctx.check_unsat(), "{kind}: the facts hold at x = 1");
+            assert!(!ctx.entails(&Expr::Bool(false)), "{kind}: entails false");
+        }
+    }
+
+    #[test]
+    fn long_equality_chains_agree_on_every_backend() {
+        for n in [16, 32, 64] {
+            let x = |i: usize| Expr::lvar(&format!("x{i}"));
+            let offsets: Vec<i128> = (0..n).map(|i| 1 + (i as i128 * 7) % 5).collect();
+            let sum: i128 = offsets.iter().sum();
+            for kind in BackendKind::ALL {
+                let hub = Solver::with_backend(kind);
+                let ctx = hub.ctx();
+                for (i, c) in offsets.iter().enumerate() {
+                    ctx.assert_expr(&Expr::eq(x(i + 1), Expr::add(x(i), Expr::Int(*c))));
+                }
+                assert!(ctx.entails(&Expr::lt(x(0), x(n))), "{kind} n={n}: x0 < xn");
+                assert!(
+                    ctx.entails(&Expr::eq(x(n), Expr::add(x(0), Expr::Int(sum)))),
+                    "{kind} n={n}: xn == x0 + sum"
+                );
+                assert!(
+                    !ctx.entails(&Expr::eq(x(n), Expr::add(x(0), Expr::Int(sum + 1)))),
+                    "{kind} n={n}: xn == x0 + sum + 1"
+                );
+            }
         }
     }
 

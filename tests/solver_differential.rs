@@ -15,6 +15,12 @@
 //! explores at most as many leaves as the reference (it answers
 //! straight-line queries from the maintained closure and prunes refuted
 //! subtrees early).
+//!
+//! Two families of seeds draw from different literal mixes: every
+//! comparison shape over a few variables, and an equality-dense mix over
+//! more variables that stresses the linear store's solved form (equalities
+//! eliminating atoms, congruence merges arriving as equalities, and both
+//! rolling back with `pop`).
 
 use gillian_solver::{BackendKind, Expr, Solver, SolverCtx};
 
@@ -41,7 +47,23 @@ impl Lcg {
     }
 }
 
-const NVARS: u64 = 5;
+/// The literal mix a seed family draws from.
+#[derive(Clone, Copy, Debug)]
+enum Mix {
+    /// Every comparison shape, over five variables.
+    Mixed,
+    /// Mostly `a + k == b` and `f(v) == w`, over nine variables.
+    EqualityDense,
+}
+
+impl Mix {
+    fn nvars(self) -> u64 {
+        match self {
+            Mix::Mixed => 5,
+            Mix::EqualityDense => 9,
+        }
+    }
+}
 
 fn var(i: u64) -> Expr {
     Expr::lvar(&format!("v{i}"))
@@ -51,14 +73,29 @@ fn var(i: u64) -> Expr {
 /// occasionally an uninterpreted application `f(v)` — the shape that
 /// exercises congruence-merge interaction with linear atom keys (classes
 /// gaining and losing representatives while rows reference them).
-fn atom(g: &mut Lcg) -> Expr {
-    let a = if g.below(4) == 0 {
-        Expr::app("f", vec![var(g.below(NVARS))])
-    } else {
-        var(g.below(NVARS))
+fn atom(g: &mut Lcg, mix: Mix) -> Expr {
+    let n = mix.nvars();
+    let side = |g: &mut Lcg| {
+        if g.below(4) == 0 {
+            Expr::app("f", vec![var(g.below(n))])
+        } else {
+            var(g.below(n))
+        }
     };
+    let a = side(g);
+    if let Mix::EqualityDense = mix {
+        return match g.below(8) {
+            0..=3 => {
+                let k = Expr::Int(g.below(5) as i128 - 2);
+                Expr::eq(Expr::add(a, k), side(g))
+            }
+            4 | 5 => Expr::eq(Expr::app("f", vec![var(g.below(n))]), var(g.below(n))),
+            6 => Expr::lt(a, side(g)),
+            _ => Expr::le(a, Expr::Int(g.below(7) as i128 - 3)),
+        };
+    }
     let b = if g.below(2) == 0 {
-        var(g.below(NVARS))
+        var(g.below(n))
     } else {
         Expr::Int(g.below(7) as i128 - 3)
     };
@@ -91,13 +128,13 @@ fn splittable_parts(f: &Expr) -> usize {
 /// the raised budget — a budget-exhausted answer is the one kernel answer
 /// that legitimately differs between batch and incremental exploration, and
 /// this test wants complete verdicts only.
-fn fact(g: &mut Lcg, structured: &mut usize) -> Expr {
+fn fact(g: &mut Lcg, mix: Mix, structured: &mut usize) -> Expr {
     let f = match g.below(8) {
-        0 => Expr::or(atom(g), atom(g)),
-        1 => Expr::implies(atom(g), atom(g)),
-        2 => Expr::and(atom(g), atom(g)),
-        3 => Expr::not(atom(g)),
-        _ => atom(g),
+        0 => Expr::or(atom(g, mix), atom(g, mix)),
+        1 => Expr::implies(atom(g, mix), atom(g, mix)),
+        2 => Expr::and(atom(g, mix), atom(g, mix)),
+        3 => Expr::not(atom(g, mix)),
+        _ => atom(g, mix),
     };
     let parts = splittable_parts(&f);
     if *structured + parts <= 6 {
@@ -105,7 +142,7 @@ fn fact(g: &mut Lcg, structured: &mut usize) -> Expr {
         return f;
     }
     // Over the cap: a guaranteed-unit literal instead.
-    let a = var(g.below(NVARS));
+    let a = var(g.below(mix.nvars()));
     let b = Expr::Int(g.below(7) as i128 - 3);
     match g.below(3) {
         0 => Expr::eq(a, b),
@@ -137,7 +174,7 @@ fn runners() -> Vec<Runner> {
 
 /// Drives one seeded op sequence through both backends, comparing verdicts
 /// query by query.
-fn run_seed(seed: u64) {
+fn run_seed(seed: u64, mix: Mix) {
     let mut g = Lcg::new(seed);
     let rs = runners();
     let mut depth = 0usize;
@@ -161,24 +198,24 @@ fn run_seed(seed: u64) {
                 for (r, v) in rs.iter().zip(&verdicts) {
                     assert_eq!(
                         *v, verdicts[0],
-                        "seed {seed} step {step}: {} disagrees with {} on check_unsat",
+                        "{mix:?} seed {seed} step {step}: {} disagrees with {} on check_unsat",
                         r.kind, rs[0].kind
                     );
                 }
             }
             4 => {
-                let goal = atom(&mut g);
+                let goal = atom(&mut g, mix);
                 let verdicts: Vec<bool> = rs.iter().map(|r| r.ctx.entails(&goal)).collect();
                 for (r, v) in rs.iter().zip(&verdicts) {
                     assert_eq!(
                         *v, verdicts[0],
-                        "seed {seed} step {step}: {} disagrees with {} on entails({goal})",
+                        "{mix:?} seed {seed} step {step}: {} disagrees with {} on entails({goal})",
                         r.kind, rs[0].kind
                     );
                 }
             }
             _ => {
-                let f = fact(&mut g, &mut structured);
+                let f = fact(&mut g, mix, &mut structured);
                 for r in &rs {
                     r.ctx.assert_expr(&f);
                 }
@@ -187,7 +224,7 @@ fn run_seed(seed: u64) {
         // The assertion stacks stay aligned (the same facts everywhere).
         let path = rs[0].ctx.path();
         for r in &rs[1..] {
-            assert_eq!(r.ctx.path(), path, "seed {seed}: stack skew");
+            assert_eq!(r.ctx.path(), path, "{mix:?} seed {seed}: stack skew");
         }
     }
     // Counter contract: the incremental state answers from its maintained
@@ -196,7 +233,7 @@ fn run_seed(seed: u64) {
     let incremental = rs[1].hub.stats();
     assert!(
         incremental.cases_explored <= one_shot.cases_explored,
-        "seed {seed}: incremental-state explored {} leaf cases, one-shot {}",
+        "{mix:?} seed {seed}: incremental-state explored {} leaf cases, one-shot {}",
         incremental.cases_explored,
         one_shot.cases_explored
     );
@@ -204,14 +241,21 @@ fn run_seed(seed: u64) {
     // disjuncts) are answered from the maintained state.
     assert!(
         incremental.incremental_hits > 0,
-        "seed {seed}: the incremental state never answered a query fast"
+        "{mix:?} seed {seed}: the incremental state never answered a query fast"
     );
 }
 
 #[test]
 fn backends_agree_on_random_literal_sequences() {
     for seed in 0..48 {
-        run_seed(seed);
+        run_seed(seed, Mix::Mixed);
+    }
+}
+
+#[test]
+fn backends_agree_on_equality_dense_sequences() {
+    for seed in 0..24 {
+        run_seed(seed, Mix::EqualityDense);
     }
 }
 
@@ -228,8 +272,8 @@ fn incremental_state_is_strictly_cheaper_on_straight_line_chains() {
             ctx.assert_expr(&Expr::eq(var(i + 1), Expr::add(var(i), Expr::Int(1))));
             assert!(!ctx.check_unsat());
         }
-        // A goal within the Fourier–Motzkin round cap's reach for a single
-        // batch solve (the cap bounds derivation-chain doubling per query).
+        // Equalities are solved by substitution, so the goal's distance
+        // along the chain does not matter.
         assert!(ctx.entails(&Expr::lt(var(0), var(8))));
         hub.stats()
     };
