@@ -26,35 +26,25 @@ use std::sync::Arc;
 /// is a driver-level concern the analysis must stay agnostic of.
 pub type ActionBounds = Arc<dyn Fn(Symbol, &[Expr]) -> Option<(i128, i128)> + Send + Sync>;
 
-/// Tuning knobs for the fixpoint iteration.
-#[derive(Clone)]
+/// Number of plain joins at a loop head before widening kicks in. Delayed
+/// widening keeps small constant-bound loops exact.
+const WIDEN_AFTER: u32 = 3;
+
+/// Number of descending (narrowing) passes after the widened fixpoint.
+const DESCEND_ITERS: u32 = 2;
+
+/// Options of the fixpoint iteration.
+#[derive(Clone, Default)]
 pub struct AnalysisOptions {
     /// Optional action-result bound oracle (see [`ActionBounds`]). `None`
     /// makes every action result `Top`, which is always sound.
     pub action_bounds: Option<ActionBounds>,
-    /// Number of plain joins at a loop head before widening kicks in.
-    /// Delayed widening keeps small constant-bound loops exact.
-    pub widen_after: u32,
-    /// Number of descending (narrowing) passes after the widened fixpoint.
-    pub descend_iters: u32,
-}
-
-impl Default for AnalysisOptions {
-    fn default() -> AnalysisOptions {
-        AnalysisOptions {
-            action_bounds: None,
-            widen_after: 3,
-            descend_iters: 2,
-        }
-    }
 }
 
 impl std::fmt::Debug for AnalysisOptions {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AnalysisOptions")
             .field("action_bounds", &self.action_bounds.as_ref().map(|_| ".."))
-            .field("widen_after", &self.widen_after)
-            .field("descend_iters", &self.descend_iters)
             .finish()
     }
 }
@@ -449,7 +439,7 @@ pub fn analyze_proc(proc: &Proc, opts: &AnalysisOptions) -> ProcInvariants {
                     None => out,
                     Some(old) => {
                         let joined = old.join(&out);
-                        if heads[t] && joins[t] >= opts.widen_after {
+                        if heads[t] && joins[t] >= WIDEN_AFTER {
                             old.widen(&joined)
                         } else {
                             joined
@@ -471,7 +461,7 @@ pub fn analyze_proc(proc: &Proc, opts: &AnalysisOptions) -> ProcInvariants {
         // Bounded descending passes recover precision lost to widening:
         // the widened result is a post-fixpoint, so re-applying the
         // (monotone) transfer stays sound and can only shrink.
-        for _ in 0..opts.descend_iters {
+        for _ in 0..DESCEND_ITERS {
             let mut next: Vec<Option<AbsState>> = vec![None; len];
             next[0] = Some(AbsState::new());
             for (i, slot) in entry.iter().enumerate() {
@@ -711,7 +701,6 @@ mod tests {
         });
         let opts = AnalysisOptions {
             action_bounds: Some(hook),
-            ..Default::default()
         };
         let p = Proc::new(
             "f",

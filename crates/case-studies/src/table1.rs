@@ -109,7 +109,7 @@ pub fn table1_cases_with(workers: usize, branch_parallelism: usize) -> Vec<Table
 }
 
 /// Same entries with the static-pruning oracle toggled explicitly: the
-/// differential tests and the absint bench run the suite once pruned and
+/// differential tests in `tests/absint.rs` run the suite once pruned and
 /// once unpruned and require identical verdicts and diagnostics.
 pub fn table1_cases_with_prune(
     workers: usize,

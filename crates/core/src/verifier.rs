@@ -292,7 +292,7 @@ impl Verifier {
         reports.iter().map(|r| r.elapsed).sum()
     }
 
-    /// Engine statistics (used by the ablation benches).
+    /// Engine statistics (the session reports carry per-run deltas).
     pub fn stats(&self) -> EngineStats {
         self.engine.stats()
     }

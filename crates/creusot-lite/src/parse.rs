@@ -37,10 +37,21 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// How deeply the parser may recurse: re-entries of the full term grammar
+/// (parentheses, `Some(..)`, `Seq::singleton(..)`, indexing, method
+/// arguments, the right operand of `==>`) plus prefix operators. Without a
+/// cap, a few kilobytes of `((((…` overflow the stack of the thread parsing
+/// them; real specifications nest a handful of levels.
+const MAX_DEPTH: usize = 128;
+
 /// Parses one Pearlite term from `src` (the whole input must be consumed).
 pub fn parse_term(src: &str) -> Result<Term, ParseError> {
     let tokens = lex(src)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+    };
     let t = p.implies()?;
     match p.peek() {
         None => Ok(t),
@@ -176,6 +187,8 @@ fn lex(src: &str) -> Result<Vec<Token>, ParseError> {
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// Nested re-entries currently open (see [`MAX_DEPTH`]).
+    depth: usize,
 }
 
 impl Parser {
@@ -220,11 +233,22 @@ impl Parser {
         ParseError { message, offset }
     }
 
+    /// Runs `f` one nesting level deeper, failing past [`MAX_DEPTH`].
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Term, ParseError>) -> Result<Term, ParseError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(format!("term nests deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let t = f(self);
+        self.depth -= 1;
+        t
+    }
+
     /// `a ==> b` — right-associative, loosest.
     fn implies(&mut self) -> Result<Term, ParseError> {
         let lhs = self.or()?;
         if self.eat(Kind::Implies) {
-            let rhs = self.implies()?;
+            let rhs = self.nested(Self::implies)?;
             return Ok(Term::Implies(Box::new(lhs), Box::new(rhs)));
         }
         Ok(lhs)
@@ -287,13 +311,13 @@ impl Parser {
 
     fn unary(&mut self) -> Result<Term, ParseError> {
         if self.eat(Kind::Bang) {
-            return Ok(Term::Not(Box::new(self.unary()?)));
+            return Ok(Term::Not(Box::new(self.nested(Self::unary)?)));
         }
         if self.eat(Kind::Star) {
-            return Ok(Term::Cur(Box::new(self.unary()?)));
+            return Ok(Term::Cur(Box::new(self.nested(Self::unary)?)));
         }
         if self.eat(Kind::Caret) {
-            return Ok(Term::Fin(Box::new(self.unary()?)));
+            return Ok(Term::Fin(Box::new(self.nested(Self::unary)?)));
         }
         self.postfix()
     }
@@ -306,7 +330,7 @@ impl Parser {
                 continue;
             }
             if self.eat(Kind::LBrack) {
-                let idx = self.implies()?;
+                let idx = self.nested(Self::implies)?;
                 self.expect(Kind::RBrack, "`]` after index")?;
                 t = Term::SeqIndex(Box::new(t), Box::new(idx));
                 continue;
@@ -320,24 +344,24 @@ impl Parser {
                         Term::SeqLen(Box::new(t))
                     }
                     "concat" => {
-                        let arg = self.implies()?;
+                        let arg = self.nested(Self::implies)?;
                         self.expect(Kind::RParen, "`)` after concat argument")?;
                         Term::SeqConcat(Box::new(t), Box::new(arg))
                     }
                     "push" => {
-                        let arg = self.implies()?;
+                        let arg = self.nested(Self::implies)?;
                         self.expect(Kind::RParen, "`)` after push argument")?;
                         Term::SeqPush(Box::new(t), Box::new(arg))
                     }
                     "subsequence" => {
-                        let lo = self.implies()?;
+                        let lo = self.nested(Self::implies)?;
                         self.expect(Kind::Comma, "`,` between subsequence bounds")?;
-                        let hi = self.implies()?;
+                        let hi = self.nested(Self::implies)?;
                         self.expect(Kind::RParen, "`)` after subsequence bounds")?;
                         Term::SeqSub(Box::new(t), Box::new(lo), Box::new(hi))
                     }
                     "permutation_of" => {
-                        let arg = self.implies()?;
+                        let arg = self.nested(Self::implies)?;
                         self.expect(Kind::RParen, "`)` after permutation_of argument")?;
                         Term::PermutationOf(Box::new(t), Box::new(arg))
                     }
@@ -372,7 +396,7 @@ impl Parser {
             }
             Kind::LParen => {
                 self.bump();
-                let inner = self.implies()?;
+                let inner = self.nested(Self::implies)?;
                 self.expect(Kind::RParen, "`)`")?;
                 Ok(inner)
             }
@@ -384,7 +408,7 @@ impl Parser {
                     "None" => Ok(Term::None_),
                     "Some" => {
                         self.expect(Kind::LParen, "`(` after Some")?;
-                        let inner = self.implies()?;
+                        let inner = self.nested(Self::implies)?;
                         self.expect(Kind::RParen, "`)` after Some argument")?;
                         Ok(Term::Some(Box::new(inner)))
                     }
@@ -395,7 +419,7 @@ impl Parser {
                             "EMPTY" => Ok(Term::EmptySeq),
                             "singleton" => {
                                 self.expect(Kind::LParen, "`(` after Seq::singleton")?;
-                                let inner = self.implies()?;
+                                let inner = self.nested(Self::implies)?;
                                 self.expect(Kind::RParen, "`)` after singleton argument")?;
                                 Ok(Term::SeqSingleton(Box::new(inner)))
                             }
@@ -540,6 +564,36 @@ mod tests {
                 ))),
             )
         );
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let parens = |n: usize| "(".repeat(n) + "x@" + &")".repeat(n);
+        assert_eq!(parse_term(&parens(MAX_DEPTH)).unwrap(), Term::model("x"));
+        // The error points just past the parenthesis one level too deep.
+        let err = parse_term(&parens(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH + 1, "{err}");
+        assert!(err.message.contains("nests deeper"), "{err}");
+        // Every way back into the grammar counts, and far past the cap the
+        // parser stops at the cap instead of recursing through the input.
+        for (open, close) in [
+            ("(", ")"),
+            ("Some(", ")"),
+            ("Seq::singleton(", ")"),
+            ("s@[", "]"),
+            ("s@.concat(", ")"),
+            ("s@.push(", ")"),
+            ("s@.permutation_of(", ")"),
+            ("s@.subsequence(0, ", ")"),
+            ("true ==> ", ""),
+            ("!", ""),
+            ("*", ""),
+            ("^", ""),
+        ] {
+            let src = open.repeat(20_000) + "x@" + &close.repeat(20_000);
+            let err = parse_term(&src).unwrap_err();
+            assert!(err.message.contains("nests deeper"), "{open}: {err}");
+        }
     }
 
     #[test]

@@ -682,7 +682,7 @@ impl SessionBuilder {
     /// abstract-interpretation invariants computed at build time let the
     /// engine skip statically-infeasible `GotoIf` sides and seed interval
     /// facts into branch solver contexts. Verdict-preserving — the knob
-    /// exists for the differential tests and the ablation bench.
+    /// exists for the differential tests in `tests/absint.rs`.
     pub fn static_prune(mut self, enabled: bool) -> Self {
         self.static_prune = Some(enabled);
         self
@@ -795,7 +795,6 @@ impl SessionBuilder {
         // resulting table doubles as the engine's static oracle.
         let absint_opts = AnalysisOptions {
             action_bounds: Some(typed_load_bounds(verifier.types.clone())),
-            ..AnalysisOptions::default()
         };
         let invariants = Arc::new(analyze_prog(&verifier.engine.prog, &absint_opts));
         verifier
@@ -891,9 +890,9 @@ fn typed_load_bounds(types: Types) -> ActionBounds {
 /// for: session name, mode, and every verdict-affecting engine option.
 /// Deliberately excludes the solver backend, worker counts, branch
 /// parallelism and `static_prune` — those change *how fast* a verdict is
-/// reached, never the verdict itself (asserted by the ablation,
-/// branch-parallel and static-prune differential benches) — so a cache
-/// warmed under one configuration serves all of them.
+/// reached, never the verdict itself (asserted by the backend,
+/// branch-width and static-prune differential tests) — so a cache warmed
+/// under one configuration serves all of them.
 fn session_namespace(name: &str, mode: SpecMode, opts: &EngineOptions) -> u64 {
     let mode = match mode {
         SpecMode::TypeSafety => "type-safety",
@@ -1028,8 +1027,8 @@ impl HybridSession {
 
     /// Toggles static branch pruning on an already-built session (the
     /// compiled program, invariant table and cache are reused — this is how
-    /// the differential tests and the absint bench compare pruned against
-    /// unpruned runs of the same suite).
+    /// the differential tests compare pruned against unpruned runs of the
+    /// same suite).
     pub fn with_static_prune(mut self, enabled: bool) -> Self {
         self.verifier.engine.opts.static_prune = enabled;
         self
@@ -1042,8 +1041,8 @@ impl HybridSession {
 
     /// Swaps the solver backend of an already-built session (fresh arena,
     /// cache and statistics; the compiled program and specifications are
-    /// reused). This is how the ablation bench re-runs the Table 1 suite
-    /// under each backend.
+    /// reused). This is how the backend differential tests re-run the
+    /// Table 1 suite under each backend.
     pub fn with_backend(mut self, kind: BackendKind) -> Self {
         self.verifier.set_backend(kind);
         self

@@ -140,12 +140,18 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// How deeply arrays and objects may nest. The parser recurses once per
+/// level, so without a cap one line of `[[[[…` overflows the stack of the
+/// thread serving it; protocol messages nest fewer than ten levels.
+const MAX_DEPTH: usize = 128;
+
 /// Parses one JSON value; the whole input (modulo whitespace) must be
 /// consumed.
 pub fn parse(src: &str) -> Result<Value, JsonError> {
     let mut p = JsonParser {
         bytes: src.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -159,6 +165,8 @@ pub fn parse(src: &str) -> Result<Value, JsonError> {
 struct JsonParser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl JsonParser<'_> {
@@ -215,11 +223,23 @@ impl JsonParser<'_> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-') | Some(b'0'..=b'9') => self.number(),
             _ => Err(self.error("expected a JSON value")),
         }
+    }
+
+    /// Parses an array or object one level deeper, failing past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Value, JsonError>) -> Result<Value, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Value, JsonError> {
@@ -388,6 +408,7 @@ mod tests {
         let obj = parse(r#"{"a": 1, "b": {"c": false}}"#).unwrap();
         assert_eq!(obj.get("a"), Some(&Value::Int(1)));
         assert_eq!(obj.get("b").unwrap().get("c"), Some(&Value::Bool(false)));
+        assert!(parse(&("[".repeat(MAX_DEPTH) + &"]".repeat(MAX_DEPTH))).is_ok());
     }
 
     #[test]
@@ -426,6 +447,10 @@ mod tests {
         assert!(parse("1 2").is_err());
         assert!(parse("\"bad \u{0001} ctrl\"").is_err());
         assert!(parse(r#""\ud800 unpaired""#).is_err());
+        let err = parse(&"[".repeat(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.offset == MAX_DEPTH && err.message.contains("nesting"));
+        let err = parse(&r#"{"a":"#.repeat(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.message.contains("nesting"));
     }
 
     #[test]

@@ -1107,6 +1107,55 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_json_line_is_rejected_and_serving_continues() {
+        let mut core = ServerCore::new();
+        let resp = core.handle_line(&"[".repeat(100_000));
+        let v = parse(&resp).unwrap();
+        assert_eq!(v.get("ok").and_then(Value::as_bool), Some(false), "{resp}");
+        assert!(
+            v.get("error")
+                .and_then(Value::as_str)
+                .unwrap()
+                .starts_with("invalid JSON at byte 128"),
+            "{resp}"
+        );
+
+        ok(&core.handle_line(
+            r#"{"id":2,"cmd":"load","workload":"chain","workers":1,"branch_parallelism":1}"#,
+        ));
+        let v = ok(&core.handle_line(r#"{"id":3,"cmd":"verify"}"#));
+        assert_eq!(v.get("all_verified").and_then(Value::as_bool), Some(true));
+    }
+
+    #[test]
+    fn deeply_nested_update_spec_term_is_rejected_and_keeps_the_old_spec() {
+        let mut core = ServerCore::new();
+        ok(&core.handle_line(
+            r#"{"id":1,"cmd":"load","workload":"chain","workers":1,"branch_parallelism":1}"#,
+        ));
+        let spec = r#""fn":"inc","requires":["x@ < 2000"],"ensures":["result@ == x@ + 1"]"#;
+        ok(&core.handle_line(&format!(r#"{{"id":2,"cmd":"update_spec",{spec}}}"#)));
+        ok(&core.handle_line(r#"{"id":3,"cmd":"verify"}"#));
+
+        let deep = "(".repeat(10_000) + "x@" + &")".repeat(10_000);
+        let resp = core.handle_line(&format!(
+            r#"{{"id":4,"cmd":"update_spec","fn":"inc","requires":["{deep} < 1000"],"ensures":["result@ == x@ + 1"]}}"#
+        ));
+        let v = parse(&resp).unwrap();
+        assert_eq!(v.get("ok").and_then(Value::as_bool), Some(false));
+        let error = v.get("error").and_then(Value::as_str).unwrap();
+        assert!(error.contains("nests deeper"), "{error}");
+
+        // `inc` keeps the spec it had: re-sending it changes nothing, and
+        // the next verify re-proves nothing.
+        let v = ok(&core.handle_line(&format!(r#"{{"id":5,"cmd":"update_spec",{spec}}}"#)));
+        assert_eq!(v.get("changed").and_then(Value::as_bool), Some(false));
+        let v = ok(&core.handle_line(r#"{"id":6,"cmd":"verify"}"#));
+        assert!(names(&v, "reverified").is_empty());
+        assert_eq!(names(&v, "cached"), vec!["base", "inc", "inc2"]);
+    }
+
+    #[test]
     fn update_spec_with_unsat_pre_is_rejected_and_dirties_nothing() {
         let mut core = ServerCore::new();
         ok(&core.handle_line(

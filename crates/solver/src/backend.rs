@@ -38,7 +38,7 @@ use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::Instant;
 
 /// Statistics collected by the solver layer (exposed per-backend through the
-/// verification reports and the ablation benchmarks).
+/// verification reports).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SolverStats {
     /// Number of top-level `check_unsat` queries answered.

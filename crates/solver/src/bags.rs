@@ -28,16 +28,6 @@ impl BagNorm {
     fn add_atom(&mut self, t: TermId) {
         *self.atoms.entry(t).or_insert(0) += 1;
     }
-
-    #[allow(dead_code)]
-    fn merge(&mut self, other: BagNorm) {
-        for (k, v) in other.elems {
-            *self.elems.entry(k).or_insert(0) += v;
-        }
-        for (k, v) in other.atoms {
-            *self.atoms.entry(k).or_insert(0) += v;
-        }
-    }
 }
 
 /// Is the expression bag-sorted (a `bag(..)` or a bag union)?

@@ -24,8 +24,8 @@ use std::sync::Arc;
 pub struct RefuteOutcome {
     /// Were the literals refuted (definitely unsatisfiable)?
     pub refuted: bool,
-    /// Number of leaf conjunctions explored (the "raw work" measure used by
-    /// the ablation benchmarks).
+    /// Number of leaf conjunctions explored (the "raw work" measure the
+    /// backend comparisons use).
     pub leaf_cases: u64,
     /// Did the search give up because the case budget ran out? A
     /// budget-exhausted "could not refute" is the only kernel answer that
@@ -346,9 +346,8 @@ struct StateMark {
 ///   refute/entail strictly **more** than the one-shot reference — never
 ///   less, and never unsoundly (a flipped verdict is always in the
 ///   proves-more direction). Cross-backend agreement suites must keep
-///   inequality chains within single-solve reach (the differential test
-///   and scale bench do, by construction) or accept the one-sided
-///   direction.
+///   inequality chains within single-solve reach (the differential suites
+///   do, by construction) or accept the one-sided direction.
 #[derive(Clone, Debug, Default)]
 pub struct IncrementalState {
     cc: Congruence,

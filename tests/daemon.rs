@@ -9,6 +9,7 @@ use gillian_server::json::{parse, Value};
 use gillian_server::{parse_mode, ProgramDb, ServerCore};
 use gillian_solver::Expr;
 use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 /// The Table 1 rows as daemon `workload`/`mode` pairs (EvenInt's row is the
 /// FC session; LP and LinkedList appear in both modes; MiniVec is FC).
@@ -63,13 +64,16 @@ fn load_line(workload: &str, mode: &str) -> String {
 
 /// Satellite: warm-state correctness. All six Table 1 workload/mode pairs go
 /// through ONE daemon twice. Pass 1 verdicts and diagnostic fingerprints are
-/// identical to a fresh batch of each pair; pass 2 re-verifies zero targets
-/// and answers everything from the cache with the same verdicts. A spec edit
-/// then dirties exactly its dependents while every Table 1 pair stays warm.
+/// identical to a fresh batch of each pair; pass 2 re-verifies zero targets,
+/// answers everything from the cache with the same verdicts, and is at least
+/// 2× faster than the fresh batches (`ProgramDb::load` + `verify_all` cold,
+/// the `load` + `verify` requests warm). A spec edit then dirties exactly its
+/// dependents while every Table 1 pair stays warm.
 #[test]
 fn table1_through_one_daemon_is_warm_and_matches_fresh_batches() {
     let mut core = ServerCore::new();
     let mut pass1: Vec<Vec<(String, bool, Option<String>)>> = Vec::new();
+    let (mut cold, mut warm) = (Duration::ZERO, Duration::ZERO);
 
     for (w, m) in TABLE1_PAIRS {
         let v = ok(&core.handle_line(&load_line(w, m)));
@@ -87,10 +91,12 @@ fn table1_through_one_daemon_is_warm_and_matches_fresh_batches() {
 
         // Fresh batch over the same workload definition: identical verdicts
         // and identical diagnostic fingerprints, case by case.
+        let start = Instant::now();
         let fresh = ProgramDb::load(w, parse_mode(m), None, None)
             .unwrap_or_else(|e| panic!("{w}:{m}: {e}"))
             .session
             .verify_all();
+        cold += start.elapsed();
         assert_eq!(daemon_cases.len(), fresh.cases.len(), "{w}:{m}");
         for (d, f) in daemon_cases.iter().zip(fresh.cases.iter()) {
             assert_eq!(d.0, f.name(), "{w}:{m}");
@@ -107,7 +113,12 @@ fn table1_through_one_daemon_is_warm_and_matches_fresh_batches() {
 
     // Pass 2: every pair is answered entirely from the warm cache.
     for (i, (w, m)) in TABLE1_PAIRS.iter().enumerate() {
-        let v = ok(&core.handle_line(&load_line(w, m)));
+        let start = Instant::now();
+        let loaded = core.handle_line(&load_line(w, m));
+        let verified = core.handle_line(r#"{"cmd":"verify"}"#);
+        warm += start.elapsed();
+
+        let v = ok(&loaded);
         assert_eq!(
             v.get("reused").and_then(Value::as_bool),
             Some(true),
@@ -115,7 +126,7 @@ fn table1_through_one_daemon_is_warm_and_matches_fresh_batches() {
         );
         let targets = names(&v, "targets");
 
-        let v = ok(&core.handle_line(r#"{"cmd":"verify"}"#));
+        let v = ok(&verified);
         assert!(
             names(&v, "reverified").is_empty(),
             "{w}:{m} pass 2 re-verifies zero targets"
@@ -123,6 +134,11 @@ fn table1_through_one_daemon_is_warm_and_matches_fresh_batches() {
         assert_eq!(names(&v, "cached"), targets, "{w}:{m}");
         assert_eq!(canon_cases(&v), pass1[i], "{w}:{m} cached verdicts match");
     }
+    let speedup = cold.as_secs_f64() / warm.as_secs_f64().max(1e-9);
+    assert!(
+        speedup >= 2.0,
+        "the warm pass must be at least 2x faster than fresh batches: cold {cold:?}, warm {warm:?} ({speedup:.1}x)"
+    );
 
     // A spec edit in a seventh resident workload dirties exactly its
     // dependency cone — and disturbs none of the warm Table 1 sessions.
@@ -265,7 +281,7 @@ fn unix_socket_daemon_survives_client_disconnects() {
             if let Ok(s) = UnixStream::connect(&path_str) {
                 return s;
             }
-            std::thread::sleep(std::time::Duration::from_millis(10));
+            std::thread::sleep(Duration::from_millis(10));
         }
         panic!("daemon socket never came up at {path_str}");
     };

@@ -261,10 +261,10 @@ fn backends_agree_on_equality_dense_sequences() {
 
 #[test]
 fn incremental_state_is_strictly_cheaper_on_straight_line_chains() {
-    // The bench scenario in miniature: a long chain of unit equalities with
-    // a feasibility query after every assert (the engine's `assume`
-    // pattern). The one-shot reference pays one kernel leaf per query; the
-    // incremental state answers every one from the maintained closure.
+    // A long chain of unit equalities with a feasibility query after every
+    // assert (the engine's `assume` pattern). The one-shot reference pays
+    // one kernel leaf per query; the incremental state answers every one
+    // from the maintained closure.
     let run = |kind: BackendKind| {
         let hub = Solver::with_backend(kind);
         let ctx = hub.ctx();
@@ -285,4 +285,84 @@ fn incremental_state_is_strictly_cheaper_on_straight_line_chains() {
         incremental.cases_explored,
         one_shot.cases_explored
     );
+}
+
+fn named(prefix: &str, i: usize) -> Expr {
+    Expr::lvar(&format!("{prefix}{i}"))
+}
+
+/// `k` wide splits `b_i == 0 || b_i == 1`, each followed by `units` unit
+/// bounds, then a nested three-way split in a scope, then a refutable
+/// overlay that leaves `b0` no value. Every check is satisfiable except the
+/// one under the overlay.
+fn case_split_suite(ctx: &SolverCtx, kind: BackendKind, k: usize, units: usize) {
+    for i in 0..k {
+        ctx.assert_expr(&Expr::or(
+            Expr::eq(named("b", i), Expr::Int(0)),
+            Expr::eq(named("b", i), Expr::Int(1)),
+        ));
+        for j in 0..units {
+            ctx.assert_expr(&Expr::le(named("u", i * units + j), Expr::Int(7)));
+        }
+        assert!(!ctx.check_unsat(), "{kind}: split {i} is satisfiable");
+    }
+    ctx.push();
+    ctx.assert_expr(&Expr::or(
+        Expr::or(
+            Expr::eq(named("c", 0), Expr::Int(0)),
+            Expr::eq(named("c", 0), Expr::Int(1)),
+        ),
+        Expr::eq(named("c", 0), Expr::Int(2)),
+    ));
+    assert!(
+        !ctx.check_unsat(),
+        "{kind}: the nested split is satisfiable"
+    );
+    ctx.assert_expr(&Expr::lt(named("b", 0), Expr::Int(0)));
+    ctx.assert_expr(&Expr::gt(named("b", 0), Expr::Int(1)));
+    assert!(ctx.check_unsat(), "{kind}: b0 has no value left");
+    ctx.pop();
+    assert!(
+        !ctx.check_unsat(),
+        "{kind}: satisfiable again after popping the overlay"
+    );
+}
+
+/// `depth` nested scopes, each adding an equality link `t_d == t_{d-1} + 1`
+/// and an inequality link `s_d <= s_{d-1}`, checked on the way down and on
+/// the way back up.
+fn push_pop_tower(ctx: &SolverCtx, kind: BackendKind, depth: usize) {
+    for d in 1..=depth {
+        ctx.push();
+        ctx.assert_expr(&Expr::eq(
+            named("t", d),
+            Expr::add(named("t", d - 1), Expr::Int(1)),
+        ));
+        ctx.assert_expr(&Expr::le(named("s", d), named("s", d - 1)));
+        assert!(!ctx.check_unsat(), "{kind}: tower depth {d} is satisfiable");
+    }
+    // Equalities are solved by substitution, so the whole chain's length is
+    // exact on every backend.
+    let span = Expr::add(named("t", 0), Expr::Int(depth as i128));
+    assert!(
+        ctx.entails(&Expr::eq(named("t", depth), span)),
+        "{kind}: the equality chain spans the tower"
+    );
+    for d in (0..depth).rev() {
+        ctx.pop();
+        assert!(!ctx.check_unsat(), "{kind}: tower back at depth {d}");
+    }
+}
+
+/// Fixed answers on every in-repo backend, each suite on a fresh hub: wide
+/// and nested case splits with a refutable overlay (k = 5 splits, 2 unit
+/// bounds each), and a 60-deep push/pop tower.
+#[test]
+fn case_splits_and_push_pop_tower_answer_alike_on_every_backend() {
+    for kind in BackendKind::ALL {
+        let hub = Solver::with_backend(kind);
+        case_split_suite(&hub.ctx(), kind, 5, 2);
+        let hub = Solver::with_backend(kind);
+        push_pop_tower(&hub.ctx(), kind, 60);
+    }
 }
