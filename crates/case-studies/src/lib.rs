@@ -8,7 +8,7 @@
 //! * [`linked_list`] — the standard-library-style doubly-linked list;
 //! * [`mini_vec`] — the simple vector used as a RefinedRust case study.
 //!
-//! [`table1`] regenerates the evaluation table (verified property, eLoC,
+//! [`table1`](mod@table1) regenerates the evaluation table (verified property, eLoC,
 //! aLoC, verification time) for all of them.
 
 pub mod even_int;

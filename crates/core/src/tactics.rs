@@ -10,7 +10,7 @@
 //! `prophecy_auto_update` applies only the Mut-Auto-Update step.
 
 use crate::state::{GRState, PROPH_CONTROLLER, VALUE_OBSERVER};
-use gillian_engine::{debug_enabled, fresh_lvar_name, Asrt, Bindings, Config, Engine, VerError};
+use gillian_engine::{debug_enabled, Asrt, Bindings, Config, Engine, VerError};
 use gillian_solver::{simplify, Expr, Symbol};
 
 /// Finds the guarded predicate or closing token corresponding to the mutable
@@ -62,7 +62,7 @@ fn mut_auto_update(
         .pred(pred)
         .ok_or_else(|| VerError::new(format!("unknown borrow predicate {pred}")))?
         .clone();
-    let inst = gillian_engine::engine::freshen_lvars(&pred_def.instantiate(0, args));
+    let inst = engine.freshen_lvars(&pred_def.instantiate(0, args));
     let (others, pc_atom) = split_body(&inst);
     let pc_atom = pc_atom
         .ok_or_else(|| VerError::new("borrow body has no prophecy controller (TS mode?)"))?;
@@ -88,8 +88,8 @@ fn mut_auto_update(
             continue;
         }
         // Consume the old observer and controller...
-        let old_vo = Expr::LVar(fresh_lvar_name("old_vo"));
-        let old_pc = Expr::LVar(fresh_lvar_name("old_pc"));
+        let old_vo = Expr::LVar(engine.fresh_lvar_name("old_vo"));
+        let old_pc = Expr::LVar(engine.fresh_lvar_name("old_pc"));
         let consume_vo_pc = Asrt::star(vec![
             Asrt::Core {
                 name: Symbol::new(VALUE_OBSERVER),
@@ -149,7 +149,7 @@ fn mutref_resolve(
         .get(1)
         .cloned()
         .ok_or_else(|| VerError::new("mutable-reference borrow has no prophecy variable"))?;
-    let cur = Expr::LVar(fresh_lvar_name("cur"));
+    let cur = Expr::LVar(engine.fresh_lvar_name("cur"));
     let consume = Asrt::star(vec![
         Asrt::Core {
             name: Symbol::new(VALUE_OBSERVER),
@@ -158,7 +158,7 @@ fn mutref_resolve(
         },
         Asrt::Guarded {
             name: pred,
-            lft: Expr::LVar(fresh_lvar_name("lft")),
+            lft: Expr::LVar(engine.fresh_lvar_name("lft")),
             args: args.to_vec(),
         },
     ]);

@@ -13,7 +13,7 @@
 //! * [`pearlite`] — a first-order Pearlite term language with the `@`
 //!   (representation) and `^` (prophecy/final value) operators and the
 //!   sequence/permutation vocabulary used by the paper's examples;
-//! * [`elaborate`] — the §6 elaboration schema from Pearlite terms to the
+//! * [`elaborate`](mod@elaborate) — the §6 elaboration schema from Pearlite terms to the
 //!   representation-variable convention of `gillian_rust::gilsonite`
 //!   (`#x_cur`, `#x_fin`, `#x_repr`, `#ret_repr`);
 //! * [`extern_specs`] — the registry of hybrid specifications (the

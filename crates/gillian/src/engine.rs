@@ -493,25 +493,9 @@ pub struct Engine<S: StateModel> {
     /// The installed static-analysis oracle, if any (see
     /// [`EngineOptions::static_prune`]).
     oracle: Option<Arc<dyn StaticOracle>>,
-}
-
-static FRESH_LVAR_COUNTER: AtomicU64 = AtomicU64::new(0);
-
-/// Returns a globally-unique logical-variable name with the given prefix.
-pub fn fresh_lvar_name(prefix: &str) -> Symbol {
-    let n = FRESH_LVAR_COUNTER.fetch_add(1, Ordering::Relaxed);
-    Symbol::new(&format!("{prefix}%{n}"))
-}
-
-/// Renames every logical variable in the assertion to a globally-fresh name,
-/// avoiding capture when predicate definitions are instantiated.
-pub fn freshen_lvars(asrt: &Asrt) -> Asrt {
-    let lvars = asrt.lvars();
-    let mut map: HashMap<Symbol, Expr> = HashMap::new();
-    for lv in lvars {
-        map.insert(lv, Expr::LVar(fresh_lvar_name(lv.as_str())));
-    }
-    asrt.subst_lvars(&|s| map.get(&s).cloned())
+    /// Numbers the fresh logical-variable names of this engine's proofs
+    /// (see [`Engine::fresh_lvar_name`]).
+    fresh_lvars: AtomicU64,
 }
 
 /// Does `haystack` contain `needle` as a sub-expression?
@@ -541,6 +525,7 @@ impl<S: StateModel> Engine<S> {
             tactics: HashMap::new(),
             stats: AtomicEngineStats::default(),
             oracle: None,
+            fresh_lvars: AtomicU64::new(0),
         }
     }
 
@@ -574,6 +559,31 @@ impl<S: StateModel> Engine<S> {
     /// Registers a semi-automatic tactic.
     pub fn register_tactic(&mut self, name: &str, f: TacticFn<S>) {
         self.tactics.insert(Symbol::new(name), f);
+    }
+
+    /// Returns a logical-variable name with the given prefix that no earlier
+    /// call on this engine returned. A prefix that is itself a fresh name
+    /// (`x%12`) is renamed from its base (`x%345`, not `x%12%345`).
+    ///
+    /// Names are numbered per engine, so a fresh session repeats the names
+    /// of the last one and the process-wide symbol table stops growing
+    /// after the first.
+    pub fn fresh_lvar_name(&self, prefix: &str) -> Symbol {
+        let base = prefix.split_once('%').map_or(prefix, |(base, _)| base);
+        let n = self.fresh_lvars.fetch_add(1, Ordering::Relaxed);
+        Symbol::new(&format!("{base}%{n}"))
+    }
+
+    /// Renames every logical variable in the assertion to a fresh name (see
+    /// [`Engine::fresh_lvar_name`]), avoiding capture when predicate
+    /// definitions are instantiated.
+    pub fn freshen_lvars(&self, asrt: &Asrt) -> Asrt {
+        let lvars = asrt.lvars();
+        let mut map: HashMap<Symbol, Expr> = HashMap::new();
+        for lv in lvars {
+            map.insert(lv, Expr::LVar(self.fresh_lvar_name(lv.as_str())));
+        }
+        asrt.subst_lvars(&|s| map.get(&s).cloned())
     }
 
     /// Returns the statistics collected so far.
@@ -1079,7 +1089,7 @@ impl<S: StateModel> Engine<S> {
         let mut args: Vec<Expr> = ins.to_vec();
         let mut fold_outs = Vec::new();
         for out_param in pred.outs() {
-            let fresh = fresh_lvar_name(&format!("{}_{}", pred.name, out_param));
+            let fresh = self.fresh_lvar_name(&format!("{}_{}", pred.name, out_param));
             fold_outs.push(fresh);
             args.push(Expr::LVar(fresh));
         }
@@ -1091,7 +1101,7 @@ impl<S: StateModel> Engine<S> {
         let mut map: HashMap<Symbol, Expr> = HashMap::new();
         for lv in lvars {
             if !keep.contains(&lv) {
-                map.insert(lv, Expr::LVar(fresh_lvar_name(lv.as_str())));
+                map.insert(lv, Expr::LVar(self.fresh_lvar_name(lv.as_str())));
             }
         }
         (inst.subst_lvars(&|s| map.get(&s).cloned()), fold_outs)
@@ -1353,7 +1363,7 @@ impl<S: StateModel> Engine<S> {
         base.note(format!("unfold {}({:?})", inst.name, inst.args));
         let mut out = Vec::new();
         for def_idx in 0..pred.definitions.len() {
-            let def = freshen_lvars(&pred.instantiate(def_idx, &inst.args));
+            let def = self.freshen_lvars(&pred.instantiate(def_idx, &inst.args));
             let mut bindings = Bindings::new();
             out.extend(self.produce(base.clone(), &def, &mut bindings));
         }
@@ -1377,7 +1387,7 @@ impl<S: StateModel> Engine<S> {
         let token = Asrt::Core {
             name: Symbol::new(LFT_TOKEN),
             ins: vec![gp.lft.clone()],
-            outs: vec![Expr::LVar(fresh_lvar_name("q"))],
+            outs: vec![Expr::LVar(self.fresh_lvar_name("q"))],
         };
         let frac_lvar = match &token {
             Asrt::Core { outs, .. } => match &outs[0] {
@@ -1397,7 +1407,7 @@ impl<S: StateModel> Engine<S> {
                 args: gp.args.clone(),
             });
             for def_idx in 0..pred.definitions.len() {
-                let def = freshen_lvars(&pred.instantiate(def_idx, &gp.args));
+                let def = self.freshen_lvars(&pred.instantiate(def_idx, &gp.args));
                 let mut bindings = Bindings::new();
                 out.extend(self.produce(c.clone(), &def, &mut bindings));
             }

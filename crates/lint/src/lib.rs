@@ -9,22 +9,22 @@
 //! This crate catches those defects statically, in milliseconds, before any
 //! proof search starts. Six passes:
 //!
-//! 1. **Control flow** ([`flow`]): CFG construction over `Cmd` — out-of-range
+//! 1. **Control flow** (`flow`): CFG construction over `Cmd` — out-of-range
 //!    jump targets (GL001), unreachable commands (GL002), control falling off
 //!    the end of a procedure (GL003).
-//! 2. **Def-use dataflow** ([`flow`]): definite-assignment analysis over the
+//! 2. **Def-use dataflow** (`flow`): definite-assignment analysis over the
 //!    variable store (parameters seeded) — use-before-assign (GL011) — and a
 //!    backward liveness pass for dead pure assignments (GL012).
-//! 3. **Symbol resolution** ([`resolve`]): every `LogicCmd`, call site, spec,
+//! 3. **Symbol resolution** (`resolve`): every `LogicCmd`, call site, spec,
 //!    predicate definition and lemma is checked against the declared
 //!    `Pred`/`Lemma`/`Proc` tables, with arity checking (GL004, GL021–GL029).
-//! 4. **Predicate well-foundedness** ([`wf`]): recursive predicate cycles
+//! 4. **Predicate well-foundedness** (`wf`): recursive predicate cycles
 //!    without a base-case disjunct (GL031) or whose self-reference carries no
 //!    guarding resource or pure condition (GL032).
-//! 5. **Vacuity** ([`vacuity`]): the pure part of each precondition is
+//! 5. **Vacuity** (`vacuity`): the pure part of each precondition is
 //!    asserted into a fresh kernel-only solver (`check_unsat`, time-boxed, no
 //!    SMT process); unsat preconditions are flagged as vacuous specs (GL041).
-//! 6. **Semantic value analysis** ([`semantic`]): `gillian-absint`'s
+//! 6. **Semantic value analysis** (`semantic`): `gillian-absint`'s
 //!    abstract interpreter proves defects from the GIL text alone —
 //!    guaranteed overflow (GL051), division by zero (GL052), statically
 //!    false asserts (GL053), constant branch guards (GL054) and loop exit

@@ -6,7 +6,7 @@
 //! is solved for one atom and substituted away: the store keeps it in solved
 //! form (`atom := poly`) and rewrites every row by it, so equality chains
 //! never reach the inequality pass. Congruence merges between atom-keyed
-//! classes arrive the same way, as equalities ([`Linear::assert_merge`]).
+//! classes arrive the same way, as equalities (`Linear::assert_merge`).
 //! The remaining inequalities are decided by a bounded Fourier–Motzkin-style
 //! elimination pass. The procedure is sound for unsatisfiability: it only
 //! ever answers "definitely contradictory" when the constraints have no
@@ -237,7 +237,7 @@ impl Linear {
 
     /// Has this id ever been used as an atom key? Conservative over undo —
     /// see the field docs. The theory combiner passes a congruence merge to
-    /// the store (as [`Linear::assert_merge`]) only when its absorbed root
+    /// the store (as `Linear::assert_merge`) only when its absorbed root
     /// is an atom: no row or solution can mention any other root.
     pub fn is_atom(&self, t: TermId) -> bool {
         self.atoms.contains(&t)

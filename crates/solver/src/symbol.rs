@@ -12,8 +12,11 @@ use std::sync::{Mutex, OnceLock};
 /// An interned string.
 ///
 /// Equality and hashing are O(1); the textual form can be recovered with
-/// [`Symbol::as_str`] (which leaks a `'static` copy the first time it is
-/// requested — symbol count is bounded by the program text, so this is fine).
+/// [`Symbol::as_str`]. Interning leaks a `'static` copy of each new name and
+/// the table never shrinks, so every distinct name stays for the life of the
+/// process: the program text's names, and the fresh logical-variable names
+/// the engine mints (numbered per engine, so a new session repeats the names
+/// of the one before instead of adding new ones).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Symbol(u32);
 
