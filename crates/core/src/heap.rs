@@ -170,9 +170,11 @@ impl Heap {
                 }
             }
         }
-        // Fall back to solver-provable equalities (e.g. through constructor
-        // injectivity): any pointer-shaped term of the path condition that
-        // must equal `e` resolves it.
+        // Fall back to the congruence closure (e.g. through equality chains
+        // or constructor injectivity): any pointer-shaped term of the path
+        // condition in `e`'s class resolves it. A closure lookup, not an
+        // entailment query: a pointer equal to `e` only through arithmetic
+        // is not found here.
         let candidates = path.iter().filter_map(|fact| match fact.as_ref() {
             Expr::BinOp(gillian_solver::BinOp::Eq, a, b) => {
                 if is_ptr_shaped(b) {
@@ -186,7 +188,7 @@ impl Heap {
             _ => None,
         });
         for (other, ptr_side) in candidates {
-            if ctx.must_equal(other, &e) {
+            if ctx.ctx.congruent(other, &e) {
                 if let Some(addr) = self.resolve_ptr_depth(ptr_side, ctx, types, depth - 1) {
                     return Some(addr);
                 }
@@ -1372,6 +1374,23 @@ mod tests {
             assert!(ctx.assume(Expr::eq(p.clone(), addr.to_expr())));
             let resolved = heap.resolve_ptr(&p, ctx, &types).unwrap();
             assert_eq!(resolved, addr);
+        });
+    }
+
+    #[test]
+    fn resolve_ptr_through_an_equality_chain_asks_no_query() {
+        // No single fact gives `p` a pointer form: the closure puts `p` in
+        // `addr`'s class, and the lookup issues no entailment query.
+        let (types, solver) = setup();
+        let mut heap = Heap::new();
+        let addr = heap.alloc(Ty::usize());
+        with_pure_ctx(&solver, |ctx| {
+            let (p, q) = (ctx.fresh(), ctx.fresh());
+            assert!(ctx.assume(Expr::eq(p.clone(), q.clone())));
+            assert!(ctx.assume(Expr::eq(q, addr.to_expr())));
+            let queries = solver.stats().queries();
+            assert_eq!(heap.resolve_ptr(&p, ctx, &types), Some(addr));
+            assert_eq!(solver.stats().queries(), queries);
         });
     }
 

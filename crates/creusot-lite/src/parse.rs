@@ -37,12 +37,19 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// How deeply the parser may recurse: re-entries of the full term grammar
-/// (parentheses, `Some(..)`, `Seq::singleton(..)`, indexing, method
-/// arguments, the right operand of `==>`) plus prefix operators. Without a
-/// cap, a few kilobytes of `((((…` overflow the stack of the thread parsing
-/// them; real specifications nest a handful of levels.
+/// How deeply a term may nest. The cap bounds both the parser's recursion
+/// (re-entries of the full term grammar — parentheses, `Some(..)`,
+/// `Seq::singleton(..)`, indexing, method arguments, the right operand of
+/// `==>` — plus prefix operators) and the height of the syntax tree it
+/// builds, to which every link of a `||`, `&&`, `+`/`-` or postfix chain
+/// adds a level. Without a cap, a few kilobytes of `((((…` overflow the
+/// stack of the thread parsing them, and a long flat chain such as
+/// `x@ + x@ + …` builds a left-deep tree that later passes, and its own
+/// drop, recurse through; real specifications nest a handful of levels.
 const MAX_DEPTH: usize = 128;
+
+/// A parsed term and the height of its syntax tree (a leaf has height 0).
+type Parsed = Result<(Term, usize), ParseError>;
 
 /// Parses one Pearlite term from `src` (the whole input must be consumed).
 pub fn parse_term(src: &str) -> Result<Term, ParseError> {
@@ -52,7 +59,7 @@ pub fn parse_term(src: &str) -> Result<Term, ParseError> {
         pos: 0,
         depth: 0,
     };
-    let t = p.implies()?;
+    let (t, _) = p.implies()?;
     match p.peek() {
         None => Ok(t),
         Some(tok) => Err(p.error(format!("unexpected trailing `{}`", tok.text))),
@@ -233,10 +240,14 @@ impl Parser {
         ParseError { message, offset }
     }
 
+    fn too_deep(&self) -> ParseError {
+        self.error(format!("term nests deeper than {MAX_DEPTH} levels"))
+    }
+
     /// Runs `f` one nesting level deeper, failing past [`MAX_DEPTH`].
-    fn nested(&mut self, f: fn(&mut Self) -> Result<Term, ParseError>) -> Result<Term, ParseError> {
+    fn nested(&mut self, f: fn(&mut Self) -> Parsed) -> Parsed {
         if self.depth == MAX_DEPTH {
-            return Err(self.error(format!("term nests deeper than {MAX_DEPTH} levels")));
+            return Err(self.too_deep());
         }
         self.depth += 1;
         let t = f(self);
@@ -244,143 +255,165 @@ impl Parser {
         t
     }
 
-    /// `a ==> b` — right-associative, loosest.
-    fn implies(&mut self) -> Result<Term, ParseError> {
-        let lhs = self.or()?;
-        if self.eat(Kind::Implies) {
-            let rhs = self.nested(Self::implies)?;
-            return Ok(Term::Implies(Box::new(lhs), Box::new(rhs)));
+    /// The height of a node whose tallest child has height `h`, failing
+    /// past [`MAX_DEPTH`]. Every node is checked before it is built, so no
+    /// tree taller than the cap ever exists.
+    fn above(&self, h: usize) -> Result<usize, ParseError> {
+        if h >= MAX_DEPTH {
+            return Err(self.too_deep());
         }
-        Ok(lhs)
+        Ok(h + 1)
     }
 
-    fn or(&mut self) -> Result<Term, ParseError> {
-        let mut lhs = self.and()?;
+    /// `a ==> b` — right-associative, loosest.
+    fn implies(&mut self) -> Parsed {
+        let (lhs, hl) = self.or()?;
+        if self.eat(Kind::Implies) {
+            let (rhs, hr) = self.nested(Self::implies)?;
+            let h = self.above(hl.max(hr))?;
+            return Ok((Term::Implies(Box::new(lhs), Box::new(rhs)), h));
+        }
+        Ok((lhs, hl))
+    }
+
+    // The `||`, `&&` and `+`/`-` chains build left-deep trees: each link is
+    // one level more, checked as the loop builds it, so a chain stops at
+    // the cap however long its input is.
+
+    fn or(&mut self) -> Parsed {
+        let (mut lhs, mut h) = self.and()?;
         while self.eat(Kind::OrOr) {
-            let rhs = self.and()?;
+            let (rhs, hr) = self.and()?;
+            h = self.above(h.max(hr))?;
             lhs = Term::Or(Box::new(lhs), Box::new(rhs));
         }
-        Ok(lhs)
+        Ok((lhs, h))
     }
 
-    fn and(&mut self) -> Result<Term, ParseError> {
-        let mut lhs = self.cmp()?;
+    fn and(&mut self) -> Parsed {
+        let (mut lhs, mut h) = self.cmp()?;
         while self.eat(Kind::AndAnd) {
-            let rhs = self.cmp()?;
+            let (rhs, hr) = self.cmp()?;
+            h = self.above(h.max(hr))?;
             lhs = Term::And(Box::new(lhs), Box::new(rhs));
         }
-        Ok(lhs)
+        Ok((lhs, h))
     }
 
     /// Non-associative comparisons; `>` and `>=` normalise to `<` / `<=`.
-    fn cmp(&mut self) -> Result<Term, ParseError> {
-        let lhs = self.sum()?;
+    fn cmp(&mut self) -> Parsed {
+        let (lhs, hl) = self.sum()?;
         let kind = match self.peek_kind() {
             Some(k @ (Kind::EqEq | Kind::Ne | Kind::Lt | Kind::Le | Kind::Gt | Kind::Ge)) => k,
-            _ => return Ok(lhs),
+            _ => return Ok((lhs, hl)),
         };
         self.bump();
-        let rhs = self.sum()?;
+        let (rhs, hr) = self.sum()?;
+        let mut h = self.above(hl.max(hr))?;
         let (l, r) = (Box::new(lhs), Box::new(rhs));
-        Ok(match kind {
+        let t = match kind {
             Kind::EqEq => Term::Eq(l, r),
-            Kind::Ne => Term::Not(Box::new(Term::Eq(l, r))),
+            Kind::Ne => {
+                h = self.above(h)?;
+                Term::Not(Box::new(Term::Eq(l, r)))
+            }
             Kind::Lt => Term::Lt(l, r),
             Kind::Le => Term::Le(l, r),
             Kind::Gt => Term::Lt(r, l),
             Kind::Ge => Term::Le(r, l),
             _ => unreachable!(),
-        })
+        };
+        Ok((t, h))
     }
 
-    fn sum(&mut self) -> Result<Term, ParseError> {
-        let mut lhs = self.unary()?;
+    fn sum(&mut self) -> Parsed {
+        let (mut lhs, mut h) = self.unary()?;
         loop {
-            let kind = match self.peek_kind() {
-                Some(k @ (Kind::Plus | Kind::Minus)) => k,
-                _ => return Ok(lhs),
+            let build = match self.peek_kind() {
+                Some(Kind::Plus) => Term::Add,
+                Some(Kind::Minus) => Term::Sub,
+                _ => return Ok((lhs, h)),
             };
             self.bump();
-            let rhs = self.unary()?;
-            lhs = match kind {
-                Kind::Plus => Term::Add(Box::new(lhs), Box::new(rhs)),
-                _ => Term::Sub(Box::new(lhs), Box::new(rhs)),
-            };
+            let (rhs, hr) = self.unary()?;
+            h = self.above(h.max(hr))?;
+            lhs = build(Box::new(lhs), Box::new(rhs));
         }
     }
 
-    fn unary(&mut self) -> Result<Term, ParseError> {
-        if self.eat(Kind::Bang) {
-            return Ok(Term::Not(Box::new(self.nested(Self::unary)?)));
-        }
-        if self.eat(Kind::Star) {
-            return Ok(Term::Cur(Box::new(self.nested(Self::unary)?)));
-        }
-        if self.eat(Kind::Caret) {
-            return Ok(Term::Fin(Box::new(self.nested(Self::unary)?)));
-        }
-        self.postfix()
+    fn unary(&mut self) -> Parsed {
+        let wrap: fn(Box<Term>) -> Term = match self.peek_kind() {
+            Some(Kind::Bang) => Term::Not,
+            Some(Kind::Star) => Term::Cur,
+            Some(Kind::Caret) => Term::Fin,
+            _ => return self.postfix(),
+        };
+        self.bump();
+        let (t, h) = self.nested(Self::unary)?;
+        Ok((wrap(Box::new(t)), self.above(h)?))
     }
 
-    fn postfix(&mut self) -> Result<Term, ParseError> {
-        let mut t = self.primary()?;
+    /// Postfix operators: a chain too, each one a level over the term so
+    /// far.
+    fn postfix(&mut self) -> Parsed {
+        let (mut t, mut h) = self.primary()?;
         loop {
             if self.eat(Kind::At) {
+                h = self.above(h)?;
                 t = Term::Model(Box::new(t));
-                continue;
-            }
-            if self.eat(Kind::LBrack) {
-                let idx = self.nested(Self::implies)?;
+            } else if self.eat(Kind::LBrack) {
+                let (idx, hi) = self.nested(Self::implies)?;
                 self.expect(Kind::RBrack, "`]` after index")?;
+                h = self.above(h.max(hi))?;
                 t = Term::SeqIndex(Box::new(t), Box::new(idx));
-                continue;
+            } else if self.eat(Kind::Dot) {
+                (t, h) = self.method(t, h)?;
+            } else {
+                return Ok((t, h));
             }
-            if self.eat(Kind::Dot) {
-                let name = self.expect(Kind::Ident, "a method name after `.`")?;
-                self.expect(Kind::LParen, "`(` after method name")?;
-                t = match name.text.as_str() {
-                    "len" => {
-                        self.expect(Kind::RParen, "`)` (len takes no arguments)")?;
-                        Term::SeqLen(Box::new(t))
-                    }
-                    "concat" => {
-                        let arg = self.nested(Self::implies)?;
-                        self.expect(Kind::RParen, "`)` after concat argument")?;
-                        Term::SeqConcat(Box::new(t), Box::new(arg))
-                    }
-                    "push" => {
-                        let arg = self.nested(Self::implies)?;
-                        self.expect(Kind::RParen, "`)` after push argument")?;
-                        Term::SeqPush(Box::new(t), Box::new(arg))
-                    }
-                    "subsequence" => {
-                        let lo = self.nested(Self::implies)?;
-                        self.expect(Kind::Comma, "`,` between subsequence bounds")?;
-                        let hi = self.nested(Self::implies)?;
-                        self.expect(Kind::RParen, "`)` after subsequence bounds")?;
-                        Term::SeqSub(Box::new(t), Box::new(lo), Box::new(hi))
-                    }
-                    "permutation_of" => {
-                        let arg = self.nested(Self::implies)?;
-                        self.expect(Kind::RParen, "`)` after permutation_of argument")?;
-                        Term::PermutationOf(Box::new(t), Box::new(arg))
-                    }
-                    other => {
-                        return Err(ParseError {
-                            message: format!(
-                                "unknown method `{other}` (expected len, concat, push, subsequence or permutation_of)"
-                            ),
-                            offset: name.offset,
-                        })
-                    }
-                };
-                continue;
-            }
-            return Ok(t);
         }
     }
 
-    fn primary(&mut self) -> Result<Term, ParseError> {
+    /// A method call on `s` (of height `h`), after its `.`. A function of
+    /// its own, like [`Parser::ident`], so that the frames on the path back
+    /// into the grammar, one set per nesting level, stay small.
+    fn method(&mut self, s: Term, h: usize) -> Parsed {
+        let name = self.expect(Kind::Ident, "a method name after `.`")?;
+        self.expect(Kind::LParen, "`(` after method name")?;
+        let s = Box::new(s);
+        match name.text.as_str() {
+            "len" => {
+                self.expect(Kind::RParen, "`)` (len takes no arguments)")?;
+                Ok((Term::SeqLen(s), self.above(h)?))
+            }
+            "concat" | "push" | "permutation_of" => {
+                let (arg, ha) = self.nested(Self::implies)?;
+                self.expect(Kind::RParen, &format!("`)` after {} argument", name.text))?;
+                let build = match name.text.as_str() {
+                    "concat" => Term::SeqConcat,
+                    "push" => Term::SeqPush,
+                    _ => Term::PermutationOf,
+                };
+                Ok((build(s, Box::new(arg)), self.above(h.max(ha))?))
+            }
+            "subsequence" => {
+                let (lo, hlo) = self.nested(Self::implies)?;
+                self.expect(Kind::Comma, "`,` between subsequence bounds")?;
+                let (hi, hhi) = self.nested(Self::implies)?;
+                self.expect(Kind::RParen, "`)` after subsequence bounds")?;
+                let h = self.above(h.max(hlo).max(hhi))?;
+                Ok((Term::SeqSub(s, Box::new(lo), Box::new(hi)), h))
+            }
+            other => Err(ParseError {
+                message: format!(
+                    "unknown method `{other}` (expected len, concat, push, subsequence or permutation_of)"
+                ),
+                offset: name.offset,
+            }),
+        }
+    }
+
+    fn primary(&mut self) -> Parsed {
         let tok = match self.peek() {
             Some(t) => t.clone(),
             None => return Err(self.error("expected a term".to_owned())),
@@ -392,7 +425,7 @@ impl Parser {
                     message: format!("integer literal `{}` out of range", tok.text),
                     offset: tok.offset,
                 })?;
-                Ok(Term::Int(value))
+                Ok((Term::Int(value), 0))
             }
             Kind::LParen => {
                 self.bump();
@@ -402,51 +435,57 @@ impl Parser {
             }
             Kind::Ident => {
                 self.bump();
-                match tok.text.as_str() {
-                    "true" => Ok(Term::Bool(true)),
-                    "false" => Ok(Term::Bool(false)),
-                    "None" => Ok(Term::None_),
-                    "Some" => {
-                        self.expect(Kind::LParen, "`(` after Some")?;
-                        let inner = self.nested(Self::implies)?;
-                        self.expect(Kind::RParen, "`)` after Some argument")?;
-                        Ok(Term::Some(Box::new(inner)))
-                    }
-                    "Seq" => {
-                        self.expect(Kind::PathSep, "`::` after Seq")?;
-                        let item = self.expect(Kind::Ident, "EMPTY or singleton after Seq::")?;
-                        match item.text.as_str() {
-                            "EMPTY" => Ok(Term::EmptySeq),
-                            "singleton" => {
-                                self.expect(Kind::LParen, "`(` after Seq::singleton")?;
-                                let inner = self.nested(Self::implies)?;
-                                self.expect(Kind::RParen, "`)` after singleton argument")?;
-                                Ok(Term::SeqSingleton(Box::new(inner)))
-                            }
-                            other => Err(ParseError {
-                                message: format!(
-                                    "unknown Seq item `{other}` (expected EMPTY or singleton)"
-                                ),
-                                offset: item.offset,
-                            }),
-                        }
-                    }
-                    "usize" => {
-                        self.expect(Kind::PathSep, "`::` after usize")?;
-                        let item = self.expect(Kind::Ident, "MAX after usize::")?;
-                        if item.text == "MAX" {
-                            Ok(Term::UsizeMax)
-                        } else {
-                            Err(ParseError {
-                                message: format!("unknown usize item `{}`", item.text),
-                                offset: item.offset,
-                            })
-                        }
-                    }
-                    _ => Ok(Term::Var(tok.text)),
-                }
+                self.ident(tok)
             }
             _ => Err(self.error(format!("unexpected `{}`", tok.text))),
+        }
+    }
+
+    /// A term starting with the identifier `tok`.
+    fn ident(&mut self, tok: Token) -> Parsed {
+        let leaf = |t: Term| Ok((t, 0));
+        match tok.text.as_str() {
+            "true" => leaf(Term::Bool(true)),
+            "false" => leaf(Term::Bool(false)),
+            "None" => leaf(Term::None_),
+            "Some" => {
+                self.expect(Kind::LParen, "`(` after Some")?;
+                let (inner, h) = self.nested(Self::implies)?;
+                self.expect(Kind::RParen, "`)` after Some argument")?;
+                Ok((Term::Some(Box::new(inner)), self.above(h)?))
+            }
+            "Seq" => {
+                self.expect(Kind::PathSep, "`::` after Seq")?;
+                let item = self.expect(Kind::Ident, "EMPTY or singleton after Seq::")?;
+                match item.text.as_str() {
+                    "EMPTY" => leaf(Term::EmptySeq),
+                    "singleton" => {
+                        self.expect(Kind::LParen, "`(` after Seq::singleton")?;
+                        let (inner, h) = self.nested(Self::implies)?;
+                        self.expect(Kind::RParen, "`)` after singleton argument")?;
+                        Ok((Term::SeqSingleton(Box::new(inner)), self.above(h)?))
+                    }
+                    other => Err(ParseError {
+                        message: format!(
+                            "unknown Seq item `{other}` (expected EMPTY or singleton)"
+                        ),
+                        offset: item.offset,
+                    }),
+                }
+            }
+            "usize" => {
+                self.expect(Kind::PathSep, "`::` after usize")?;
+                let item = self.expect(Kind::Ident, "MAX after usize::")?;
+                if item.text == "MAX" {
+                    leaf(Term::UsizeMax)
+                } else {
+                    Err(ParseError {
+                        message: format!("unknown usize item `{}`", item.text),
+                        offset: item.offset,
+                    })
+                }
+            }
+            _ => leaf(Term::Var(tok.text)),
         }
     }
 }
@@ -594,6 +633,33 @@ mod tests {
             let err = parse_term(&src).unwrap_err();
             assert!(err.message.contains("nests deeper"), "{open}: {err}");
         }
+        // Each link of a chain is one level of a left-deep tree: a chain of
+        // `MAX_DEPTH` links parses, one more link does not, and a 100,000
+        // link chain stops at the cap instead of building a tree that later
+        // passes, and its own drop, recurse through.
+        for (first, link) in [
+            ("x", "@"),
+            ("x@", " + x@"),
+            ("1", " - 1"),
+            ("true", " && true"),
+            ("true", " || true"),
+        ] {
+            let chain = |n: usize| first.to_owned() + &link.repeat(n);
+            // `x@` is itself one level high.
+            let most = MAX_DEPTH - usize::from(first == "x@");
+            assert!(parse_term(&chain(most)).is_ok(), "{link}");
+            for n in [most + 1, 100_000] {
+                let err = parse_term(&chain(n)).unwrap_err();
+                assert!(err.message.contains("nests deeper"), "{link} x{n}: {err}");
+            }
+        }
+        // The cap is on the height of the whole tree: a parenthesised
+        // chain's levels count towards the chain it is the left operand of.
+        let half = "true".to_owned() + &" && true".repeat(MAX_DEPTH / 2);
+        let links = |n: usize| format!("({half}){}", " && true".repeat(n));
+        assert!(parse_term(&links(MAX_DEPTH / 2)).is_ok());
+        let err = parse_term(&links(MAX_DEPTH / 2 + 1)).unwrap_err();
+        assert!(err.message.contains("nests deeper"), "{err}");
     }
 
     #[test]

@@ -391,7 +391,7 @@ pub type TacticFn<S> = fn(&Engine<S>, Config<S>, &[Expr]) -> Result<Vec<Config<S
 /// the failed consume's hint (stronger first; see `Engine::try_recover`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 enum Relatedness {
-    /// Syntactic containment either way, or provable equality.
+    /// Syntactic containment either way, or one congruence class.
     Direct,
     /// Only connected through a path-condition fact mentioning both.
     ViaPath,
@@ -1252,9 +1252,13 @@ impl<S: StateModel> Engine<S> {
                 // form of the actual value (e.g. `v == Some(w)` learned by an
                 // `unwrap_option`) and retry against it. Two passes: first
                 // syntactic equality with either side of a path equation
-                // (cheap), then solver-provable equality (`must_equal`),
-                // which sees through chains like `h == v, v == Some(w)` that
-                // have no single syntactic fact for `h`.
+                // (cheap), then membership of one congruence class
+                // (`congruent`), which sees through chains like `h == v,
+                // v == Some(w)` that have no single syntactic fact for `h`.
+                // This only proposes a form to unify against, so the closure
+                // lookup stands in for an entailment query: a form equal to
+                // `actual` only through arithmetic or a case split is
+                // missed, which can cost a proof but never soundness.
                 //
                 // The path condition is fixed for the whole unification, so
                 // a (substituted pattern, actual) subproblem is determined
@@ -1314,7 +1318,7 @@ impl<S: StateModel> Engine<S> {
                         }
                     }
                     for &(opaque, form) in &ctor_facts {
-                        if opaque != actual && cfg.must_equal(opaque, actual) {
+                        if opaque != actual && cfg.ctx.congruent(opaque, actual) {
                             let mut trial = bindings.clone();
                             if self.unify_bounded(
                                 cfg,
@@ -1462,12 +1466,15 @@ impl<S: StateModel> Engine<S> {
     /// Candidates are ranked by a **relatedness ordering** rather than tried
     /// in state order. Re-folds (closing an open borrow) and unfolds whose
     /// parameters *directly* overlap the failed consume — syntactic
-    /// containment or provable equality — come before candidates that are
-    /// only related through a shared path-condition fact. Before this
+    /// containment or one congruence class — come before candidates that
+    /// are only related through a shared path-condition fact. Before this
     /// ordering, the first weakly-related spine predicate was unfolded at
     /// every recovery level, so searches over recursive structures
     /// (`dll_seg`) unrolled the whole spine to the recovery budget before
-    /// the directly-relevant fold was ever attempted (EXPERIMENTS.md).
+    /// the directly-relevant fold was ever attempted (EXPERIMENTS.md). The
+    /// ranking asks the closure ([`gillian_solver::SolverCtx::congruent`]),
+    /// not the solver: it only orders the attempts, and each attempt's
+    /// consume still decides.
     pub fn try_recover(&self, cfg: &Config<S>, hint: &[Expr]) -> Vec<Config<S>> {
         if !self.opts.auto_recover || hint.is_empty() {
             return vec![];
@@ -1508,7 +1515,7 @@ impl<S: StateModel> Engine<S> {
         for (idx, ct) in cfg.closing.iter().enumerate() {
             if self.relatedness(cfg, &ct.args, hint) == Some(Relatedness::Direct) {
                 candidates.push((0, idx, Action::Close(idx)));
-            } else if hint.iter().any(|h| cfg.must_equal(h, &ct.lft)) {
+            } else if hint.iter().any(|h| cfg.ctx.congruent(h, &ct.lft)) {
                 candidates.push((3, idx, Action::Close(idx)));
             }
         }
@@ -1529,16 +1536,16 @@ impl<S: StateModel> Engine<S> {
     }
 
     /// Heuristic relatedness between a predicate's arguments and a hint: they
-    /// are related if any pair is provably equal, one contains the other
-    /// syntactically, or some path-condition fact mentions both.
+    /// are related if any pair is in one congruence class, one contains the
+    /// other syntactically, or some path-condition fact mentions both.
     fn related(&self, cfg: &Config<S>, args: &[Expr], hint: &[Expr]) -> bool {
         self.relatedness(cfg, args, hint).is_some()
     }
 
     /// How strongly a predicate's arguments relate to a recovery hint:
-    /// [`Relatedness::Direct`] when some pair is syntactically nested or
-    /// provably equal, [`Relatedness::ViaPath`] when the only connection is
-    /// a path-condition fact mentioning both sides.
+    /// [`Relatedness::Direct`] when some pair is syntactically nested or in
+    /// one congruence class, [`Relatedness::ViaPath`] when the only
+    /// connection is a path-condition fact mentioning both sides.
     fn relatedness(&self, cfg: &Config<S>, args: &[Expr], hint: &[Expr]) -> Option<Relatedness> {
         let mut via_path = false;
         // Snapshotted once, by the first pair that needs it.
@@ -1551,7 +1558,7 @@ impl<S: StateModel> Engine<S> {
                 if contains_expr(a, h) || contains_expr(h, a) {
                     return Some(Relatedness::Direct);
                 }
-                if cfg.must_equal(a, h) {
+                if cfg.ctx.congruent(a, h) {
                     return Some(Relatedness::Direct);
                 }
                 if !via_path {
@@ -2505,6 +2512,30 @@ fn subst_logic_cmd(cmd: &LogicCmd, bindings: &Bindings) -> LogicCmd {
         LogicCmd::Produce(a) => LogicCmd::Produce(a.subst_lvars(&|x| bindings.get(&x).cloned())),
         LogicCmd::Consume(a) => LogicCmd::Consume(a.subst_lvars(&|x| bindings.get(&x).cloned())),
         LogicCmd::Tactic(n, a) => LogicCmd::Tactic(*n, sv(a)),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::state::EmptyState;
+
+    #[test]
+    fn unify_finds_a_constructor_form_through_the_closure_without_a_query() {
+        // `h == v, v == Some(w)`: no single fact gives `h` a constructor
+        // form, so the fallback's second pass finds `Some(w)` in `h`'s
+        // congruence class, and asks the solver nothing.
+        let engine: Engine<EmptyState> = Engine::new(Prog::new());
+        let mut cfg: Config<EmptyState> = Config::new(engine.solver.ctx());
+        let (h, v, w) = (cfg.fresh(), cfg.fresh(), cfg.fresh());
+        assert!(cfg.assume(Expr::eq(h.clone(), v.clone())));
+        assert!(cfg.assume(Expr::eq(v, Expr::some(w.clone()))));
+        let x = Symbol::new("#x");
+        let mut bindings = Bindings::new();
+        let queries = engine.solver.stats().queries();
+        assert!(engine.unify(&cfg, &mut bindings, &Expr::some(Expr::LVar(x)), &h));
+        assert_eq!(bindings.get(&x), Some(&w));
+        assert_eq!(engine.solver.stats().queries(), queries);
     }
 }
 

@@ -363,12 +363,22 @@ impl JsonParser<'_> {
                     return Err(self.error("unescaped control character in string"))
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so the
-                    // byte sequence is valid by construction).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..]).unwrap();
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run of plain characters up to the next quote,
+                    // escape or control byte. Those are ASCII, so the run
+                    // ends on a character boundary of the input (a &str,
+                    // valid UTF-8 by construction). Each byte is checked
+                    // once, so a string costs time linear in its length.
+                    let start = self.pos;
+                    while self
+                        .peek()
+                        .is_some_and(|b| b != b'"' && b != b'\\' && b >= 0x20)
+                    {
+                        self.pos += 1;
+                    }
+                    out.push_str(
+                        std::str::from_utf8(&self.bytes[start..self.pos])
+                            .expect("a run between ASCII delimiters of a &str is valid UTF-8"),
+                    );
                 }
             }
         }

@@ -1127,8 +1127,9 @@ mod tests {
         assert_eq!(v.get("all_verified").and_then(Value::as_bool), Some(true));
     }
 
-    #[test]
-    fn deeply_nested_update_spec_term_is_rejected_and_keeps_the_old_spec() {
+    /// Sends `inc` an `update_spec` whose clauses nest too deeply, expects
+    /// it to be rejected, and checks that `inc` keeps the spec it had.
+    fn too_deep_update_spec_keeps_the_old_spec(requires: &str, ensures: &str) {
         let mut core = ServerCore::new();
         ok(&core.handle_line(
             r#"{"id":1,"cmd":"load","workload":"chain","workers":1,"branch_parallelism":1}"#,
@@ -1137,9 +1138,8 @@ mod tests {
         ok(&core.handle_line(&format!(r#"{{"id":2,"cmd":"update_spec",{spec}}}"#)));
         ok(&core.handle_line(r#"{"id":3,"cmd":"verify"}"#));
 
-        let deep = "(".repeat(10_000) + "x@" + &")".repeat(10_000);
         let resp = core.handle_line(&format!(
-            r#"{{"id":4,"cmd":"update_spec","fn":"inc","requires":["{deep} < 1000"],"ensures":["result@ == x@ + 1"]}}"#
+            r#"{{"id":4,"cmd":"update_spec","fn":"inc","requires":["{requires}"],"ensures":["{ensures}"]}}"#
         ));
         let v = parse(&resp).unwrap();
         assert_eq!(v.get("ok").and_then(Value::as_bool), Some(false));
@@ -1153,6 +1153,20 @@ mod tests {
         let v = ok(&core.handle_line(r#"{"id":6,"cmd":"verify"}"#));
         assert!(names(&v, "reverified").is_empty());
         assert_eq!(names(&v, "cached"), vec!["base", "inc", "inc2"]);
+    }
+
+    #[test]
+    fn deeply_nested_update_spec_term_is_rejected_and_keeps_the_old_spec() {
+        let deep = "(".repeat(10_000) + "x@" + &")".repeat(10_000);
+        too_deep_update_spec_keeps_the_old_spec(&format!("{deep} < 1000"), "result@ == x@ + 1");
+    }
+
+    #[test]
+    fn flat_chain_update_spec_term_is_rejected_and_keeps_the_old_spec() {
+        // No parentheses: a 100,000-term sum is a left-deep tree as tall as
+        // it is long, so the cap on the tree's height rejects it.
+        let chain = vec!["x@"; 100_000].join(" + ");
+        too_deep_update_spec_keeps_the_old_spec("x@ < 2000", &format!("result@ == {chain}"));
     }
 
     #[test]

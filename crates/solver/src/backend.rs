@@ -25,8 +25,10 @@
 //!   The default ([`BackendKind::CachedIncremental`]) wraps the
 //!   incremental-state backend.
 //!
-//! Adding a backend means implementing the trait's five core operations;
-//! `entails` can lean on [`entails_by_decomposition`].
+//! Adding a backend means implementing the trait's six core operations;
+//! `entails` can lean on [`entails_by_decomposition`], and `congruent` can
+//! ask a [`kernel::IncrementalState`] built from the stack, as the one-shot
+//! reference does.
 
 use crate::arena::{TermArena, TermId};
 use crate::expr::{BinOp, Expr};
@@ -267,6 +269,13 @@ pub trait SolverBackend: Send {
     /// Do the asserted facts entail the goal?
     fn entails(&mut self, arena: &TermArena, goal: TermId) -> bool;
 
+    /// Are the two (simplified) terms in one class of the congruence
+    /// closure over the asserted unit facts? See
+    /// [`kernel::IncrementalState::congruent`]: sound (`true` implies that
+    /// `entails` would prove them equal), no case split, no linear solve,
+    /// no cache, and no trace left in the backend's state.
+    fn congruent(&mut self, arena: &TermArena, a: TermId, b: TermId) -> bool;
+
     /// Was the most recent `check_unsat` answer *complete* — i.e. not cut
     /// short by the case budget? A complete verdict is a pure function of
     /// the asserted fact *set* (independent of assertion order), so only
@@ -375,6 +384,20 @@ impl OneShotBackend {
             last_complete: true,
         }
     }
+
+    /// The whole stack re-simplified and flattened into literals, and
+    /// whether some fact simplified to `false`. Deliberately the
+    /// free-function simplifier: the reference re-does the full
+    /// simplification walk per query.
+    fn literals(&self, arena: &TermArena) -> (Vec<Arc<Expr>>, bool) {
+        let mut literals = Vec::new();
+        let mut definitely_false = false;
+        for &id in &self.asserted {
+            let s = simplify(&arena.resolve(id));
+            kernel::flatten_conjuncts(&s, &mut literals, &mut definitely_false);
+        }
+        (literals, definitely_false)
+    }
 }
 
 impl SolverBackend for OneShotBackend {
@@ -397,14 +420,7 @@ impl SolverBackend for OneShotBackend {
     }
 
     fn check_unsat(&mut self, arena: &TermArena) -> bool {
-        let mut literals = Vec::new();
-        let mut definitely_false = false;
-        for &id in &self.asserted {
-            // Deliberately the free-function simplifier: the reference
-            // re-does the full simplification walk per query.
-            let s = simplify(&arena.resolve(id));
-            kernel::flatten_conjuncts(&s, &mut literals, &mut definitely_false);
-        }
+        let (literals, definitely_false) = self.literals(arena);
         if definitely_false {
             self.last_complete = true;
             return true;
@@ -425,6 +441,25 @@ impl SolverBackend for OneShotBackend {
 
     fn entails(&mut self, arena: &TermArena, goal: TermId) -> bool {
         entails_by_decomposition(self, arena, goal)
+    }
+
+    /// Builds a fresh incremental state from the whole stack and asks it.
+    fn congruent(&mut self, arena: &TermArena, a: TermId, b: TermId) -> bool {
+        let (literals, definitely_false) = self.literals(arena);
+        let (a, b) = (arena.resolve(a), arena.resolve(b));
+        let start = Instant::now();
+        let mut state = kernel::IncrementalState::new();
+        if definitely_false {
+            state.set_false();
+        }
+        for lit in &literals {
+            state.assert_lit(lit);
+        }
+        let equal = state.congruent(&a, &b);
+        self.stats
+            .kernel_nanos
+            .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        equal
     }
 
     fn last_query_complete(&self) -> bool {
@@ -543,6 +578,16 @@ impl SolverBackend for IncrementalStateBackend {
 
     fn entails(&mut self, arena: &TermArena, goal: TermId) -> bool {
         entails_by_decomposition(self, arena, goal)
+    }
+
+    fn congruent(&mut self, arena: &TermArena, a: TermId, b: TermId) -> bool {
+        let (a, b) = (arena.resolve(a), arena.resolve(b));
+        let start = Instant::now();
+        let equal = self.state.congruent(&a, &b);
+        self.stats
+            .kernel_nanos
+            .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        equal
     }
 
     fn last_query_complete(&self) -> bool {
@@ -889,6 +934,11 @@ impl SolverBackend for CachingBackend {
         }
     }
 
+    /// Not cached: the closure lookup costs less than a cache key.
+    fn congruent(&mut self, arena: &TermArena, a: TermId, b: TermId) -> bool {
+        self.inner.congruent(arena, a, b)
+    }
+
     fn last_query_complete(&self) -> bool {
         self.inner.last_query_complete()
     }
@@ -943,6 +993,9 @@ mod inflight_tests {
         }
         fn entails(&mut self, arena: &TermArena, goal: TermId) -> bool {
             entails_by_decomposition(self, arena, goal)
+        }
+        fn congruent(&mut self, _arena: &TermArena, a: TermId, b: TermId) -> bool {
+            a == b
         }
         fn assertions(&self) -> &[TermId] {
             &self.asserted

@@ -440,6 +440,22 @@ impl IncrementalState {
         }
     }
 
+    /// Are `a` and `b` in one class of the congruence closure over the unit
+    /// literals asserted so far? `true` when the unit set is already known
+    /// contradictory. Sound but incomplete: it runs no case split and no
+    /// linear solve, so an equality that holds only through arithmetic or
+    /// a case split reads `false`. The terms it interns, and the merges
+    /// their normalisation makes, are undone before it returns.
+    pub fn congruent(&mut self, a: &Expr, b: &Expr) -> bool {
+        if self.contradiction {
+            return true;
+        }
+        let snap = self.cc.snapshot();
+        let equal = self.cc.are_equal(a, b);
+        self.cc.undo_to(&snap);
+        equal
+    }
+
     /// Answers "is the conjunction of everything asserted definitely
     /// unsatisfiable?" from the maintained state, case-splitting only over
     /// the disjunctive literals.
@@ -897,6 +913,20 @@ mod tests {
         st.assert_lit(&Arc::new(Expr::lt(fb, Expr::Int(3))));
         assert!(st.check(64).refuted);
         assert_eq!(st.lin_epoch, 0, "no linear rebuild");
+    }
+
+    #[test]
+    fn congruent_leaves_no_term_or_merge_behind() {
+        let (c, e) = (Expr::lvar("c"), Expr::lvar("e"));
+        let single = Expr::seq(vec![e]);
+        let mut st = IncrementalState::new();
+        st.assert_lit(&Arc::new(Expr::eq(c.clone(), Expr::empty_seq())));
+        let (terms, merges) = (st.cc.len(), st.cc.merge_log().len());
+        // `[e] ++ c` is new to the closure, and normalising it merges it
+        // with `[e]`: both are undone.
+        assert!(st.congruent(&Expr::seq_concat(single.clone(), c), &single));
+        assert_eq!(st.cc.len(), terms);
+        assert_eq!(st.cc.merge_log().len(), merges);
     }
 
     #[test]

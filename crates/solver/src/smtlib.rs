@@ -1129,6 +1129,11 @@ impl SolverBackend for SmtBackend {
         entails_by_decomposition(self, arena, goal)
     }
 
+    /// The kernel half's closure: no process round trip.
+    fn congruent(&mut self, arena: &TermArena, a: TermId, b: TermId) -> bool {
+        self.kernel.congruent(arena, a, b)
+    }
+
     fn last_query_complete(&self) -> bool {
         self.last_complete
     }

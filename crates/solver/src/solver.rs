@@ -13,7 +13,9 @@
 //!   clones the context when execution forks (clones share the arena, cache
 //!   and statistics but own their assertion stack);
 //! * queries ([`SolverCtx::check_unsat`], [`SolverCtx::entails`],
-//!   [`SolverCtx::must_equal`], …) run against the asserted facts in place.
+//!   [`SolverCtx::must_equal`], …) run against the asserted facts in place;
+//! * search heuristics that only propose or rank candidates ask the cheaper
+//!   closure lookup [`SolverCtx::congruent`], which is not a query.
 //!
 //! Two query families are provided, both *sound for refutation* (only `true`
 //! answers are acted upon, so incompleteness can fail a verification but
@@ -356,6 +358,19 @@ impl SolverCtx {
         self.entails(&Expr::eq(a.clone(), b.clone()))
     }
 
+    /// Are two expressions in one class of the congruence closure over the
+    /// asserted unit facts? A cheap, sound under-approximation of
+    /// [`SolverCtx::must_equal`] for search heuristics that propose or rank
+    /// candidates: `true` implies `must_equal`, but an equality that holds
+    /// only through arithmetic or a case split reads `false`. It runs no
+    /// case split and no linear solve, touches no cache, leaves no trace in
+    /// the context, and is not counted as a query.
+    pub fn congruent(&self, a: &Expr, b: &Expr) -> bool {
+        let sa = self.arena.simplify(self.arena.intern(a));
+        let sb = self.arena.simplify(self.arena.intern(b));
+        sa == sb || self.backend.borrow_mut().congruent(&self.arena, sa, sb)
+    }
+
     /// Are two expressions different in all models of the asserted facts?
     pub fn must_differ(&self, a: &Expr, b: &Expr) -> bool {
         self.entails(&Expr::ne(a.clone(), b.clone()))
@@ -586,6 +601,95 @@ mod tests {
             assert!(ctx.must_equal(&x, &Expr::Int(7)));
             assert!(ctx.must_differ(&x, &Expr::Int(8)));
             assert!(!ctx.must_differ(&x, &Expr::Int(7)));
+        }
+    }
+
+    #[test]
+    fn congruent_is_a_sound_closure_lookup_on_every_backend() {
+        let mut g = VarGen::new();
+        let [x, y, a, b, c, e, h, v, w] = [(); 9].map(|_| g.fresh_expr());
+        let f = |t: &Expr| Expr::app("f", vec![t.clone()]);
+        let single = Expr::seq(vec![e.clone()]);
+        let chain = [
+            Expr::eq(h.clone(), v.clone()),
+            Expr::eq(v.clone(), Expr::some(w.clone())),
+        ];
+        // What the closure sees: congruence, injectivity, normalisation
+        // (`[e] ++ c` steered through `c`'s concrete member `[]`), a chain
+        // of equalities with no single fact for `h`, and anything at all
+        // once the unit facts contradict each other.
+        let seen = [
+            (vec![Expr::eq(x.clone(), y.clone())], f(&x), f(&y)),
+            (
+                vec![Expr::eq(Expr::some(a.clone()), Expr::some(b.clone()))],
+                a.clone(),
+                b.clone(),
+            ),
+            (
+                vec![Expr::eq(c.clone(), Expr::empty_seq())],
+                Expr::seq_concat(single.clone(), c.clone()),
+                single,
+            ),
+            (chain.to_vec(), h.clone(), Expr::some(w.clone())),
+            (
+                vec![
+                    Expr::eq(x.clone(), Expr::Int(1)),
+                    Expr::eq(x.clone(), Expr::Int(2)),
+                ],
+                a.clone(),
+                b.clone(),
+            ),
+        ];
+        for (facts, l, r) in &seen {
+            for ctx in ctxs(facts) {
+                let kind = ctx.backend_name();
+                assert!(
+                    ctx.congruent(l, r),
+                    "{kind}: {facts:?} puts {l}, {r} in one class"
+                );
+                assert!(ctx.must_equal(l, r), "{kind}: congruent implies must_equal");
+            }
+        }
+        // The documented limit: only arithmetic proves `x == 1` here.
+        let one = Expr::Int(1);
+        let bounds = [
+            Expr::le(x.clone(), one.clone()),
+            Expr::le(one.clone(), x.clone()),
+        ];
+        for ctx in ctxs(&bounds) {
+            let kind = ctx.backend_name();
+            assert!(
+                ctx.must_equal(&x, &one),
+                "{kind}: x <= 1, 1 <= x proves x == 1"
+            );
+            assert!(!ctx.congruent(&x, &one), "{kind}: but not by congruence");
+        }
+        // No trace: the path, the counters and the next answers are those
+        // of a clone that never asked.
+        let facts: Vec<Expr> = chain.iter().chain(&bounds).cloned().collect();
+        let goals = [
+            Expr::eq(x.clone(), one.clone()),
+            Expr::eq(f(&h), f(&Expr::some(w.clone()))),
+            Expr::eq(f(&a), f(&h)),
+        ];
+        for ctx in ctxs(&facts) {
+            let kind = ctx.backend_name();
+            let twin = ctx.clone();
+            let (path, before) = (ctx.path(), ctx.stats());
+            assert!(ctx.congruent(&h, &Expr::some(w.clone())), "{kind}");
+            assert!(!ctx.congruent(&x, &one), "{kind}");
+            // Interns terms the context has never seen.
+            assert!(!ctx.congruent(&f(&a), &f(&h)), "{kind}");
+            assert_eq!(ctx.path(), path, "{kind}: path");
+            let untimed = |s: SolverStats| SolverStats {
+                kernel_nanos: 0,
+                ..s
+            };
+            assert_eq!(untimed(ctx.stats()), untimed(before), "{kind}: counters");
+            assert_eq!(ctx.check_unsat(), twin.check_unsat(), "{kind}: check_unsat");
+            for goal in &goals {
+                assert_eq!(ctx.entails(goal), twin.entails(goal), "{kind}: {goal}");
+            }
         }
     }
 

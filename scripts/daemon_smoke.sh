@@ -12,6 +12,10 @@
 #     rejected with the GL041 finding on the wire and dirties NOTHING, a
 #     warn-only edit is accepted with its findings attached, and a `lint`
 #     request reports the program's findings without proof search,
+#   * chain leg: an `update_spec` whose `ensures` is a flat 100,000-term
+#     Pearlite sum (`result@ == x@ + x@ + …`) is rejected with `"ok":false`,
+#     and the daemon keeps serving: the next `verify` and the `shutdown`
+#     are answered,
 #   * restart leg: a NEW daemon process over the same --cache-dir hydrates
 #     every target from disk and its first `verify` re-proves nothing,
 #   * SIGTERM leg: a daemon killed with SIGTERM (no `shutdown` request)
@@ -113,6 +117,28 @@ lline 7 | grep -q '"bye":true' || fail "lint leg: shutdown acknowledged"
 "$BIN" lint --deny-warnings >/dev/null \
     || fail "lint leg: gillian lint found something in a shipped workload"
 
+# ---- Chain leg: a flat chain is rejected, not fatal. -------------------------
+# `x@ + x@ + …` has no parentheses, but the sum is a left-deep tree as tall as
+# it is long. The parser caps the tree's height as it builds it, so the edit
+# is rejected on the wire instead of overflowing the daemon's stack.
+
+CHAIN="$(printf 'x@ + %.0s' $(seq 1 99999))x@"
+CHAIN_OUT="$(printf '%s\n' \
+    '{"id":1,"cmd":"load","workload":"chain","workers":1,"branch_parallelism":1}' \
+    '{"id":2,"cmd":"update_spec","fn":"inc","requires":["x@ < 2000"],"ensures":["result@ == '"$CHAIN"'"]}' \
+    '{"id":3,"cmd":"verify"}' \
+    '{"id":4,"cmd":"shutdown"}' \
+    | "$BIN" serve)" || fail "chain leg: the daemon died on a 100,000-term chain"
+
+cut -c1-200 <<<"$CHAIN_OUT"
+[[ "$(wc -l <<<"$CHAIN_OUT")" -eq 4 ]] || fail "chain leg: expected 4 response lines"
+cline() { sed -n "${1}p" <<<"$CHAIN_OUT"; }
+cline 2 | grep -q '"ok":false' || fail "chain leg: the 100,000-term chain must be rejected"
+cline 2 | grep -q 'nests deeper' || fail "chain leg: the rejection names the depth cap"
+cline 3 | grep -q '"all_verified":true' \
+    || fail "chain leg: verify is answered after the rejected edit"
+cline 4 | grep -q '"bye":true' || fail "chain leg: shutdown acknowledged"
+
 # ---- Restart leg: proofs survive the death of the daemon. -------------------
 # Two full daemon lifetimes over one cache directory: the first proves cold
 # and persists on shutdown; the second — a fresh process — hydrates from
@@ -193,4 +219,4 @@ sed -n 2p <<<"$SIG_OUT" | grep -q '"reverified":\[\]' \
 sed -n 2p <<<"$SIG_OUT" | grep -q '"cached":\["base","inc","inc2"\]' \
     || fail "sigterm leg: successor daemon must answer everything from the flush"
 
-echo "daemon_smoke: OK (including restart and SIGTERM legs)"
+echo "daemon_smoke: OK (including chain, restart and SIGTERM legs)"

@@ -21,6 +21,10 @@
 //! more variables that stresses the linear store's solved form (equalities
 //! eliminating atoms, congruence merges arriving as equalities, and both
 //! rolling back with `pop`).
+//!
+//! At every query point on a satisfiable path the runner also probes the
+//! closure lookup `congruent` on a few term pairs: it must imply
+//! `must_equal`, and the two backends must give the same answer.
 
 use gillian_solver::{BackendKind, Expr, Solver, SolverCtx};
 
@@ -151,6 +155,18 @@ fn fact(g: &mut Lcg, mix: Mix, structured: &mut usize) -> Expr {
     }
 }
 
+/// A term for the closure probes: a variable, `f(v)`, a small integer or
+/// `v + k`.
+fn term(g: &mut Lcg, mix: Mix) -> Expr {
+    let v = var(g.below(mix.nvars()));
+    match g.below(4) {
+        0 => v,
+        1 => Expr::app("f", vec![v]),
+        2 => Expr::Int(g.below(7) as i128 - 3),
+        _ => Expr::add(v, Expr::Int(g.below(5) as i128 - 2)),
+    }
+}
+
 struct Runner {
     kind: BackendKind,
     hub: Solver,
@@ -170,6 +186,46 @@ fn runners() -> Vec<Runner> {
             Runner { kind, hub, ctx }
         })
         .collect()
+}
+
+/// Is the conjunction of `ctx`'s path refuted? Asked of a fresh one-shot
+/// context on a hub of its own, so no runner's state or counters move.
+fn refuted(ctx: &SolverCtx) -> bool {
+    let mut hub = Solver::with_backend(BackendKind::OneShot);
+    hub.case_budget = 1_000_000;
+    let oracle = hub.ctx();
+    for fact in ctx.path() {
+        oracle.assert_expr(&fact);
+    }
+    oracle.check_unsat()
+}
+
+/// Probes the closure lookup at a query point on a satisfiable path: on
+/// every backend `congruent` implies `must_equal`, and the one-shot
+/// reference's closure, built afresh from its stack, answers like the
+/// incremental state's. (On a refuted path every answer is sound, and they
+/// may differ: the incremental state can already know the contradiction
+/// from an earlier check, where the reference's closure runs no linear
+/// solve.) The pairs come from a generator of their own, so the op sequence
+/// is the one the seed draws without the probes.
+fn probe_congruent(rs: &[Runner], seed: u64, step: usize, mix: Mix) {
+    let mut g = Lcg::new(seed.wrapping_mul(1_000).wrapping_add(step as u64));
+    for _ in 0..4 {
+        let (a, b) = (term(&mut g, mix), term(&mut g, mix));
+        let answers: Vec<bool> = rs.iter().map(|r| r.ctx.congruent(&a, &b)).collect();
+        for (r, &c) in rs.iter().zip(&answers) {
+            assert_eq!(
+                c, answers[0],
+                "{mix:?} seed {seed} step {step}: {} disagrees with {} on congruent({a}, {b})",
+                r.kind, rs[0].kind
+            );
+            assert!(
+                !c || r.ctx.must_equal(&a, &b),
+                "{mix:?} seed {seed} step {step}: {} has {a}, {b} congruent but not must_equal",
+                r.kind
+            );
+        }
+    }
 }
 
 /// Drives one seeded op sequence through both backends, comparing verdicts
@@ -202,6 +258,9 @@ fn run_seed(seed: u64, mix: Mix) {
                         r.kind, rs[0].kind
                     );
                 }
+                if !verdicts[0] {
+                    probe_congruent(&rs, seed, step, mix);
+                }
             }
             4 => {
                 let goal = atom(&mut g, mix);
@@ -212,6 +271,9 @@ fn run_seed(seed: u64, mix: Mix) {
                         "{mix:?} seed {seed} step {step}: {} disagrees with {} on entails({goal})",
                         r.kind, rs[0].kind
                     );
+                }
+                if !refuted(&rs[0].ctx) {
+                    probe_congruent(&rs, seed, step, mix);
                 }
             }
             _ => {
