@@ -18,6 +18,10 @@
 //! * a top-level verification driver ([`verifier`]) producing the
 //!   per-function reports used to regenerate Table 1.
 
+// A copied configuration is the engine's largest avoidable cost; this lint
+// catches a clone whose value is never used again.
+#![warn(clippy::redundant_clone)]
+
 pub mod compile;
 pub mod gilsonite;
 pub mod heap;

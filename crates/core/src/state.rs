@@ -884,7 +884,7 @@ mod tests {
         run(|s, ctx| {
             let x = ctx.fresh();
             let obs = Expr::lt(x.clone(), Expr::Int(10));
-            let produced = s.produce_core(Symbol::new(OBSERVATION), &[obs.clone()], &[], ctx);
+            let produced = s.produce_core(Symbol::new(OBSERVATION), &[obs], &[], ctx);
             assert_eq!(produced.len(), 1);
             let s1 = produced[0].state.clone();
             // Entailed observation is consumable.

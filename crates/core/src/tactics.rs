@@ -60,8 +60,7 @@ fn mut_auto_update(
     let pred_def = engine
         .prog
         .pred(pred)
-        .ok_or_else(|| VerError::new(format!("unknown borrow predicate {pred}")))?
-        .clone();
+        .ok_or_else(|| VerError::new(format!("unknown borrow predicate {pred}")))?;
     let inst = engine.freshen_lvars(&pred_def.instantiate(0, args));
     let (others, pc_atom) = split_body(&inst);
     let pc_atom = pc_atom
@@ -121,7 +120,7 @@ fn mut_auto_update(
             for c3 in engine.produce(c2, &produce_vo_pc, &mut b3) {
                 // ... and restore the borrow-body resources we peeked at.
                 let mut b4 = b3.clone();
-                for c4 in engine.produce(c3.clone(), &others_asrt, &mut b4) {
+                for c4 in engine.produce(c3, &others_asrt, &mut b4) {
                     out.push((c4, a_new.clone()));
                 }
             }
@@ -213,7 +212,7 @@ pub fn mutref_auto_resolve(
         let closed = engine.gfold(c, tok_idx)?;
         // 3. MutRef-Resolve.
         for c2 in closed {
-            out.extend(mutref_resolve(engine, c2.clone(), pred, &bargs)?);
+            out.extend(mutref_resolve(engine, c2, pred, &bargs)?);
         }
     }
     Ok(out)

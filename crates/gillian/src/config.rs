@@ -3,9 +3,24 @@
 //! A [`Config`] is one branch of the symbolic execution: the state-model
 //! state, the variable store, the branch-scoped solver context (which owns
 //! the asserted path condition), the folded user predicates and the guarded
-//! predicates (full borrows) together with their closing tokens. Engine
-//! operations clone configurations freely at branch points; clones share the
-//! solver's term arena and query cache but own their assertion stack.
+//! predicates (full borrows) together with their closing tokens.
+//!
+//! Engine operations take a configuration by value and move it along every
+//! step with one successor. They copy it only where the proof has two or
+//! more successors (a symbolic branch, an action, consumption or
+//! production with several outcomes, a predicate with several
+//! definitions, a lemma with several conclusions): each successor but the
+//! last gets a copy, the last takes the original.
+//!
+//! An attempt that may fail while the original must survive it borrows the
+//! configuration: a fold tries each definition, and a final state tries
+//! each postcondition or lemma conclusion but the last. Consumption checks
+//! the leading pure atoms of an assertion against the borrow and copies it
+//! only at the first atom that changes state, so an attempt that fails on
+//! its pure prefix copies nothing. Recovery and branch auto-unfold
+//! candidates still copy the configuration before they try it. Copies
+//! share the solver's term arena and query cache but own their assertion
+//! stack.
 
 use crate::state::{PureCtx, StateModel};
 use gillian_solver::{simplify, Expr, SolverCtx, Symbol, VarGen};
@@ -61,9 +76,6 @@ pub struct Config<S> {
     pub guarded: Vec<GuardedPred>,
     /// Closing tokens of currently-open full borrows.
     pub closing: Vec<ClosingToken>,
-    /// Human-readable trace of notable proof steps (unfolds, borrow
-    /// openings, recoveries); useful for debugging failed verifications.
-    pub trace: Vec<String>,
 }
 
 impl<S: StateModel> Config<S> {
@@ -78,7 +90,6 @@ impl<S: StateModel> Config<S> {
             folded: Vec::new(),
             guarded: Vec::new(),
             closing: Vec::new(),
-            trace: Vec::new(),
         }
     }
 
@@ -132,11 +143,6 @@ impl<S: StateModel> Config<S> {
     /// Must two expressions be equal under the path condition?
     pub fn must_equal(&self, a: &Expr, b: &Expr) -> bool {
         self.ctx.must_equal(a, b)
-    }
-
-    /// Records a trace message.
-    pub fn note(&mut self, msg: impl Into<String>) {
-        self.trace.push(msg.into());
     }
 
     /// Runs a closure with a [`PureCtx`] borrowing the pure components and the
@@ -251,13 +257,5 @@ mod tests {
             args: vec![a],
         });
         assert_eq!(cfg.find_folded(Symbol::new("p"), &[b], 1), None);
-    }
-
-    #[test]
-    fn trace_notes_accumulate() {
-        let mut cfg = config();
-        cfg.note("unfolded dll_seg");
-        cfg.note("opened borrow");
-        assert_eq!(cfg.trace.len(), 2);
     }
 }

@@ -20,6 +20,7 @@ use crate::gil::{Cmd, LogicCmd, Proc, Prog};
 use crate::schedule::{ForkPath, WorkItem, WorkQueue};
 use crate::state::{ActionResult, ConsumeResult, StateModel};
 use gillian_solver::{simplify, BackendKind, Expr, Solver, Symbol};
+use std::borrow::{Borrow, Cow};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -509,6 +510,26 @@ pub fn contains_expr(haystack: &Expr, needle: &Expr) -> bool {
     found
 }
 
+/// Pairs each item, in order, with its own copy of `base`. The last item
+/// takes `base` itself, so one item costs no copy and `n` items cost
+/// `n - 1`: a configuration is copied only where it really forks.
+fn fan_out<C: Clone, T>(
+    base: C,
+    items: impl IntoIterator<Item = T>,
+) -> impl Iterator<Item = (C, T)> {
+    let mut base = Some(base);
+    let mut items = items.into_iter().peekable();
+    std::iter::from_fn(move || {
+        let item = items.next()?;
+        let copy = if items.peek().is_some() {
+            base.clone()
+        } else {
+            base.take()
+        };
+        Some((copy?, item))
+    })
+}
+
 impl<S: StateModel> Engine<S> {
     /// Creates an engine for a program with default options.
     pub fn new(prog: Prog) -> Self {
@@ -681,8 +702,7 @@ impl<S: StateModel> Engine<S> {
     ) -> Vec<Config<S>> {
         let outcomes = cfg.with_ctx(|state, ctx| state.produce_core(name, ins, outs, ctx));
         let mut result = Vec::new();
-        for ok in outcomes {
-            let mut c = cfg.clone();
+        for (mut c, ok) in fan_out(cfg, outcomes) {
             c.state = ok.state;
             let mut feasible = true;
             for f in ok.facts {
@@ -710,9 +730,37 @@ impl<S: StateModel> Engine<S> {
         bindings: Bindings,
         asrt: &Asrt,
     ) -> Result<Vec<(Config<S>, Bindings)>, VerError> {
+        self.consume_from(Cow::Owned(cfg), bindings, asrt)
+    }
+
+    /// [`Engine::consume`] from a configuration that is owned or only
+    /// borrowed. The assertion's leading pure atoms only read the
+    /// configuration, so they are checked against it as it is; a borrowed
+    /// configuration is copied at the first atom that changes state. An
+    /// attempt that fails on its pure prefix therefore copies nothing.
+    fn consume_from(
+        &self,
+        cfg: Cow<'_, Config<S>>,
+        mut bindings: Bindings,
+        asrt: &Asrt,
+    ) -> Result<Vec<(Config<S>, Bindings)>, VerError> {
+        let failed = |atom: &Asrt, err: VerError| {
+            if debug_enabled() {
+                eprintln!("[consume] failed on atom {atom}: {}", err.msg);
+            }
+            err
+        };
         let atoms = asrt.atoms();
-        let mut branches = vec![(cfg, bindings)];
-        for atom in &atoms {
+        let mut rest = atoms.as_slice();
+        while let [atom @ Asrt::Pure(e), tail @ ..] = rest {
+            self.bump(|s| &s.consumer_calls);
+            bindings = self
+                .consume_pure(&cfg, bindings, e)
+                .map_err(|err| failed(atom, err))?;
+            rest = tail;
+        }
+        let mut branches = vec![(cfg.into_owned(), bindings)];
+        for atom in rest {
             let mut next = Vec::new();
             let mut last_err: Option<VerError> = None;
             for (c, b) in branches {
@@ -724,10 +772,7 @@ impl<S: StateModel> Engine<S> {
             if next.is_empty() {
                 let err =
                     last_err.unwrap_or_else(|| VerError::new(format!("failed to consume {atom}")));
-                if debug_enabled() {
-                    eprintln!("[consume] failed on atom {atom}: {}", err.msg);
-                }
-                return Err(err);
+                return Err(failed(atom, err));
             }
             branches = next;
         }
@@ -744,7 +789,10 @@ impl<S: StateModel> Engine<S> {
         self.bump(|s| &s.consumer_calls);
         match atom {
             Asrt::Emp | Asrt::Star(_) => Ok(vec![(cfg, bindings)]),
-            Asrt::Pure(e) => self.consume_pure(cfg, bindings, e),
+            Asrt::Pure(e) => {
+                let bindings = self.consume_pure(&cfg, bindings, e)?;
+                Ok(vec![(cfg, bindings)])
+            }
             Asrt::Observation(e) => self.consume_observation(cfg, bindings, e, recovery_budget),
             Asrt::Core { name, ins, outs } => {
                 self.consume_core_atom(cfg, bindings, *name, ins, outs, recovery_budget)
@@ -758,27 +806,25 @@ impl<S: StateModel> Engine<S> {
         }
     }
 
+    /// Consumes a pure assertion: it only asks the path condition, so it
+    /// reads the configuration and returns the extended bindings.
     fn consume_pure(
         &self,
-        cfg: Config<S>,
+        cfg: &Config<S>,
         mut bindings: Bindings,
         e: &Expr,
-    ) -> Result<Vec<(Config<S>, Bindings)>, VerError> {
+    ) -> Result<Bindings, VerError> {
         let e = simplify(&e.subst_lvars(&|s| bindings.get(&s).cloned()));
         // Conjunctions (e.g. decomposed constructor equalities) are consumed
         // conjunct by conjunct so that each equation can bind its variables.
         if let Expr::BinOp(gillian_solver::BinOp::And, a, b) = &e {
-            let mut branches = self.consume_pure(cfg, bindings, a)?;
-            let mut out = Vec::new();
-            for (c, bnd) in branches.drain(..) {
-                out.extend(self.consume_pure(c, bnd, b)?);
-            }
-            return Ok(out);
+            let bindings = self.consume_pure(cfg, bindings, a)?;
+            return self.consume_pure(cfg, bindings, b);
         }
         let unbound: Vec<Symbol> = e.lvars().into_iter().collect();
         if unbound.is_empty() {
             if cfg.entails(&e) {
-                return Ok(vec![(cfg, bindings)]);
+                return Ok(bindings);
             }
             return Err(VerError::new(format!("pure assertion not entailed: {e}")));
         }
@@ -795,8 +841,8 @@ impl<S: StateModel> Engine<S> {
                     "cannot determine logical variables {unbound:?} in {e}"
                 )));
             };
-            if self.unify(&cfg, &mut bindings, pattern, value) {
-                return Ok(vec![(cfg, bindings)]);
+            if self.unify(cfg, &mut bindings, pattern, value) {
+                return Ok(bindings);
             }
             return Err(VerError::new(format!(
                 "cannot unify {pattern} with {value}"
@@ -870,10 +916,8 @@ impl<S: StateModel> Engine<S> {
         match result {
             ConsumeResult::Ok(outcomes) => {
                 let mut branches = Vec::new();
-                for ok in outcomes {
-                    let mut c = cfg.clone();
+                for ((mut c, mut b), ok) in fan_out((cfg, bindings), outcomes) {
                     c.state = ok.state;
-                    let mut b = bindings.clone();
                     let mut feasible = true;
                     for f in ok.facts {
                         if !c.assume(f) {
@@ -948,8 +992,7 @@ impl<S: StateModel> Engine<S> {
         let pred = self
             .prog
             .pred(name)
-            .ok_or_else(|| VerError::new(format!("unknown predicate {name}")))?
-            .clone();
+            .ok_or_else(|| VerError::new(format!("unknown predicate {name}")))?;
         let num_ins = pred.num_ins.min(args.len());
         let ins_sub: Vec<Expr> = args[..num_ins]
             .iter()
@@ -967,19 +1010,18 @@ impl<S: StateModel> Engine<S> {
             .map(|e| e.subst_lvars(&|s| bindings.get(&s).cloned()))
             .collect();
 
-        // 1. A folded instance with matching ins.
+        // 1. A folded instance with matching ins. Unification only asks the
+        //    path condition, so the outs are matched in place and the
+        //    instance is removed only on success.
         if let Some(idx) = cfg.find_folded(name, &ins_sub, num_ins) {
-            let mut c = cfg.clone();
-            let inst = c.folded.remove(idx);
             let mut b = bindings.clone();
-            let mut matched = true;
-            for (pat, actual) in out_patterns.iter().zip(inst.args[num_ins..].iter()) {
-                if !self.unify(&c, &mut b, pat, actual) {
-                    matched = false;
-                    break;
-                }
-            }
+            let matched = out_patterns
+                .iter()
+                .zip(cfg.folded[idx].args[num_ins..].iter())
+                .all(|(pat, actual)| self.unify(&cfg, &mut b, pat, actual));
             if matched {
+                let mut c = cfg;
+                c.folded.remove(idx);
                 return Ok(vec![(c, b)]);
             }
         }
@@ -1010,13 +1052,15 @@ impl<S: StateModel> Engine<S> {
             ));
         }
 
-        // 3. Fold from the definition (automatic folding).
+        // 3. Fold from the definition (automatic folding). Each definition
+        //    is an attempt on the borrowed configuration: recovery below
+        //    still needs it untouched.
         self.bump(|s| &s.folds);
         let mut branches = Vec::new();
         let mut last_err: Option<VerError> = None;
         for def_idx in 0..pred.definitions.len() {
-            let (def, fold_outs) = self.instantiate_for_fold(&pred, def_idx, &ins_sub);
-            match self.consume(cfg.clone(), bindings.clone(), &def) {
+            let (def, fold_outs) = self.instantiate_for_fold(pred, def_idx, &ins_sub);
+            match self.consume_from(Cow::Borrowed(&cfg), bindings.clone(), &def) {
                 Ok(sub_branches) => {
                     for (c, mut b) in sub_branches {
                         // The out parameters must now be determined.
@@ -1116,21 +1160,22 @@ impl<S: StateModel> Engine<S> {
         args: &[Expr],
         recovery_budget: usize,
     ) -> Result<Vec<(Config<S>, Bindings)>, VerError> {
-        let pred = self
+        let num_ins = self
             .prog
             .pred(name)
             .ok_or_else(|| VerError::new(format!("unknown predicate {name}")))?
-            .clone();
-        let num_ins = pred.num_ins.min(args.len());
+            .num_ins
+            .min(args.len());
         let ins_sub: Vec<Expr> = args[..num_ins]
             .iter()
             .map(|e| simplify(&e.subst_lvars(&|s| bindings.get(&s).cloned())))
             .collect();
         let lft_sub = lft.subst_lvars(&|s| bindings.get(&s).cloned());
         if let Some(idx) = cfg.find_guarded(name, &ins_sub, num_ins) {
-            let mut c = cfg.clone();
+            // Every path from here returns: the configuration is used up.
+            let mut c = cfg;
             let inst = c.guarded.remove(idx);
-            let mut b = bindings.clone();
+            let mut b = bindings;
             // Unify the lifetime and the out arguments.
             if !self.unify(&c, &mut b, &lft_sub, &inst.lft) {
                 return Err(VerError::new(format!(
@@ -1162,7 +1207,7 @@ impl<S: StateModel> Engine<S> {
                 .iter()
                 .position(|ct| ct.pred == name && self.args_match(&cfg, &ct.args, &ins_sub))
             {
-                if let Ok(closed_cfgs) = self.gfold(cfg.clone(), tok_idx) {
+                if let Ok(closed_cfgs) = self.gfold(cfg, tok_idx) {
                     let mut out = Vec::new();
                     for c in closed_cfgs {
                         if let Ok(v) = self.consume_guarded(
@@ -1348,45 +1393,48 @@ impl<S: StateModel> Engine<S> {
     /// Unfolds a folded predicate instance (by index), producing its
     /// definition. Branches over the definition disjuncts; infeasible
     /// disjuncts vanish.
-    pub fn unfold_folded(&self, cfg: Config<S>, idx: usize) -> Result<Vec<Config<S>>, VerError> {
-        let inst = cfg.folded[idx].clone();
+    pub fn unfold_folded(
+        &self,
+        mut cfg: Config<S>,
+        idx: usize,
+    ) -> Result<Vec<Config<S>>, VerError> {
+        let name = cfg.folded[idx].name;
         let pred = self
             .prog
-            .pred(inst.name)
-            .ok_or_else(|| VerError::new(format!("unknown predicate {}", inst.name)))?
-            .clone();
+            .pred(name)
+            .ok_or_else(|| VerError::new(format!("unknown predicate {name}")))?;
         if pred.is_abstract {
             return Err(VerError::new(format!(
-                "cannot unfold abstract predicate {}",
-                inst.name
+                "cannot unfold abstract predicate {name}"
             )));
         }
         self.bump(|s| &s.unfolds);
-        let mut base = cfg;
-        base.folded.remove(idx);
-        base.note(format!("unfold {}({:?})", inst.name, inst.args));
+        let inst = cfg.folded.remove(idx);
+        if debug_enabled() {
+            eprintln!("[unfold] {}({:?})", inst.name, inst.args);
+        }
         let mut out = Vec::new();
-        for def_idx in 0..pred.definitions.len() {
+        for (base, def_idx) in fan_out(cfg, 0..pred.definitions.len()) {
             let def = self.freshen_lvars(&pred.instantiate(def_idx, &inst.args));
             let mut bindings = Bindings::new();
-            out.extend(self.produce(base.clone(), &def, &mut bindings));
+            out.extend(self.produce(base, &def, &mut bindings));
         }
         Ok(out)
     }
 
     /// Opens a guarded predicate (a full borrow): consumes the lifetime token,
     /// produces the predicate definition and a closing token (Unfold-Guarded).
-    pub fn gunfold(&self, cfg: Config<S>, idx: usize) -> Result<Vec<Config<S>>, VerError> {
-        let gp = cfg.guarded[idx].clone();
+    pub fn gunfold(&self, mut cfg: Config<S>, idx: usize) -> Result<Vec<Config<S>>, VerError> {
+        let name = cfg.guarded[idx].name;
         let pred = self
             .prog
-            .pred(gp.name)
-            .ok_or_else(|| VerError::new(format!("unknown predicate {}", gp.name)))?
-            .clone();
+            .pred(name)
+            .ok_or_else(|| VerError::new(format!("unknown predicate {name}")))?;
         self.bump(|s| &s.borrow_opens);
-        let mut base = cfg;
-        base.guarded.remove(idx);
-        base.note(format!("open borrow {}({:?})", gp.name, gp.args));
+        let gp = cfg.guarded.remove(idx);
+        if debug_enabled() {
+            eprintln!("[borrow] open {}({:?})", gp.name, gp.args);
+        }
         // Consume the lifetime token [κ]_q.
         let token = Asrt::Core {
             name: Symbol::new(LFT_TOKEN),
@@ -1400,7 +1448,7 @@ impl<S: StateModel> Engine<S> {
             },
             _ => unreachable!(),
         };
-        let branches = self.consume(base, Bindings::new(), &token)?;
+        let branches = self.consume(cfg, Bindings::new(), &token)?;
         let mut out = Vec::new();
         for (mut c, b) in branches {
             let frac = b.get(&frac_lvar).cloned().unwrap_or(Expr::Int(1));
@@ -1410,10 +1458,10 @@ impl<S: StateModel> Engine<S> {
                 frac,
                 args: gp.args.clone(),
             });
-            for def_idx in 0..pred.definitions.len() {
+            for (c, def_idx) in fan_out(c, 0..pred.definitions.len()) {
                 let def = self.freshen_lvars(&pred.instantiate(def_idx, &gp.args));
                 let mut bindings = Bindings::new();
-                out.extend(self.produce(c.clone(), &def, &mut bindings));
+                out.extend(self.produce(c, &def, &mut bindings));
             }
         }
         Ok(out)
@@ -1422,18 +1470,18 @@ impl<S: StateModel> Engine<S> {
     /// Closes an open borrow: consumes the borrowed predicate's definition
     /// (re-folding it) and the closing token, restores the guarded predicate
     /// and recovers the lifetime token.
-    pub fn gfold(&self, cfg: Config<S>, token_idx: usize) -> Result<Vec<Config<S>>, VerError> {
-        let ct = cfg.closing[token_idx].clone();
+    pub fn gfold(&self, mut cfg: Config<S>, token_idx: usize) -> Result<Vec<Config<S>>, VerError> {
         self.bump(|s| &s.borrow_closes);
-        let mut base = cfg;
-        base.closing.remove(token_idx);
-        base.note(format!("close borrow {}({:?})", ct.pred, ct.args));
+        let ct = cfg.closing.remove(token_idx);
+        if debug_enabled() {
+            eprintln!("[borrow] close {}({:?})", ct.pred, ct.args);
+        }
         // Consume the predicate (this re-establishes the invariant).
         let pred_asrt = Asrt::Pred {
             name: ct.pred,
             args: ct.args.clone(),
         };
-        let branches = self.consume(base, Bindings::new(), &pred_asrt)?;
+        let branches = self.consume(cfg, Bindings::new(), &pred_asrt)?;
         let mut out = Vec::new();
         for (mut c, _b) in branches {
             c.guarded.push(GuardedPred {
@@ -1636,8 +1684,7 @@ impl<S: StateModel> Engine<S> {
         match result {
             ActionResult::Ok(outcomes) => {
                 let mut out = Vec::new();
-                for ok in outcomes {
-                    let mut c = cfg.clone();
+                for (mut c, ok) in fan_out(cfg, outcomes) {
                     c.state = ok.state;
                     let mut feasible = true;
                     for f in ok.facts {
@@ -1682,12 +1729,12 @@ impl<S: StateModel> Engine<S> {
         match cmd {
             LogicCmd::Fold(name, args) => {
                 let args_e = eval_args(&cfg, args);
-                let pred = self
+                let num_ins = self
                     .prog
                     .pred(*name)
                     .ok_or_else(|| VerError::new(format!("unknown predicate {name}")))?
-                    .clone();
-                let num_ins = pred.num_ins.min(args_e.len());
+                    .num_ins
+                    .min(args_e.len());
                 let branches = self.consume_user_pred(
                     cfg,
                     Bindings::new(),
@@ -1799,8 +1846,7 @@ impl<S: StateModel> Engine<S> {
         let lemma = self
             .prog
             .lemma(name)
-            .ok_or_else(|| VerError::new(format!("unknown lemma {name}")))?
-            .clone();
+            .ok_or_else(|| VerError::new(format!("unknown lemma {name}")))?;
         let mut bindings = Bindings::new();
         for (param, arg) in lemma.params.iter().zip(args.iter()) {
             bindings.insert(*param, arg.clone());
@@ -1808,8 +1854,8 @@ impl<S: StateModel> Engine<S> {
         let branches = self.consume(cfg, bindings, &lemma.hyp)?;
         let mut out = Vec::new();
         for (c, mut b) in branches {
-            for concl in &lemma.concls {
-                out.extend(self.produce(c.clone(), concl, &mut b));
+            for (c, concl) in fan_out(c, &lemma.concls) {
+                out.extend(self.produce(c, concl, &mut b));
             }
         }
         if out.is_empty() {
@@ -1935,9 +1981,15 @@ impl<S: StateModel> Engine<S> {
                             self.bump(|s| &s.branches);
                             // Each side gets its own solver scope: the guard
                             // is asserted incrementally on top of the shared
-                            // path prefix.
-                            if keep_then {
-                                let mut then_c = c.clone();
+                            // path prefix. Only a branch that keeps both
+                            // sides copies its configuration.
+                            let (then_c, else_c) = match (keep_then, keep_else) {
+                                (true, true) => (Some(c.clone()), Some(c)),
+                                (true, false) => (Some(c), None),
+                                (false, true) => (None, Some(c)),
+                                (false, false) => (None, None),
+                            };
+                            if let Some(mut then_c) = then_c {
                                 then_c.branch_scope();
                                 if then_c.assume(g.clone()) && seed(&mut then_c) {
                                     succs.push((then_c, *then_target));
@@ -1945,8 +1997,7 @@ impl<S: StateModel> Engine<S> {
                             } else {
                                 self.solver.note_branch_pruned_static();
                             }
-                            if keep_else {
-                                let mut else_c = c;
+                            if let Some(mut else_c) = else_c {
                                 else_c.branch_scope();
                                 let neg = match &advice.else_assume {
                                     Some(residual) => {
@@ -2012,7 +2063,6 @@ impl<S: StateModel> Engine<S> {
                             "folded: {:?}",
                             cfg.folded.iter().map(|f| f.name).collect::<Vec<_>>()
                         );
-                        eprintln!("trace: {:?}", cfg.trace);
                     }
                     return Err(VerError::new(format!(
                         "reachable failure in {}: {msg}",
@@ -2255,28 +2305,21 @@ impl<S: StateModel> Engine<S> {
         args: &[Expr],
         depth: usize,
     ) -> Result<Vec<(Config<S>, Expr)>, VerError> {
-        if let Some(spec) = self.prog.spec(callee).cloned() {
-            return self.call_with_spec(cfg, &spec, args);
+        if let Some(spec) = self.prog.spec(callee) {
+            return self.call_with_spec(cfg, spec, args);
         }
         let proc = self
             .prog
             .proc(callee)
-            .ok_or_else(|| VerError::new(format!("unknown procedure {callee}")))?
-            .clone();
+            .ok_or_else(|| VerError::new(format!("unknown procedure {callee}")))?;
         // Inline: swap the store for the callee frame.
         let mut callee_cfg = cfg;
-        let saved_store = callee_cfg.store.clone();
-        callee_cfg.store = proc
-            .params
-            .iter()
-            .copied()
-            .zip(args.iter().cloned())
-            .collect();
-        let results = self.exec_proc(callee_cfg, &proc, depth + 1)?;
-        Ok(results
-            .into_iter()
-            .map(|(mut c, v)| {
-                c.store = saved_store.clone();
+        let callee_store = proc.params.iter().copied().zip(args.iter().cloned());
+        let saved_store = std::mem::replace(&mut callee_cfg.store, callee_store.collect());
+        let results = self.exec_proc(callee_cfg, proc, depth + 1)?;
+        Ok(fan_out(saved_store, results)
+            .map(|(store, (mut c, v))| {
+                c.store = store;
                 (c, v)
             })
             .collect())
@@ -2309,10 +2352,9 @@ impl<S: StateModel> Engine<S> {
             let ret_val = c.fresh();
             let mut post_map = param_map.clone();
             post_map.insert(ret_sym, ret_val.clone());
-            for post in &spec.posts {
+            for ((c, mut bindings), post) in fan_out((c, b), &spec.posts) {
                 let post = post.subst_pvars(&|s| post_map.get(&s).cloned());
-                let mut bindings = b.clone();
-                for produced in self.produce(c.clone(), &post, &mut bindings) {
+                for produced in self.produce(c, &post, &mut bindings) {
                     out.push((produced, ret_val.clone()));
                 }
             }
@@ -2330,6 +2372,36 @@ impl<S: StateModel> Engine<S> {
     // =====================================================================
     // Verification drivers
     // =====================================================================
+
+    /// Checks a final configuration against alternative postconditions (or
+    /// lemma conclusions), in order, each from a copy of `bindings`, and
+    /// stops at the first that consumes. Every alternative but the last
+    /// borrows `cfg`, so one that fails on its pure prefix copies nothing;
+    /// the last takes `cfg` by move. Fails with the last alternative's error
+    /// (`None` when there are no alternatives).
+    fn consume_first(
+        &self,
+        cfg: Config<S>,
+        bindings: &Bindings,
+        alts: impl ExactSizeIterator<Item = impl Borrow<Asrt>>,
+    ) -> Result<(), Option<VerError>> {
+        let n = alts.len();
+        for (i, alt) in alts.enumerate() {
+            if i + 1 == n {
+                return self
+                    .consume(cfg, bindings.clone(), alt.borrow())
+                    .map(drop)
+                    .map_err(Some);
+            }
+            if self
+                .consume_from(Cow::Borrowed(&cfg), bindings.clone(), alt.borrow())
+                .is_ok()
+            {
+                return Ok(());
+            }
+        }
+        Err(None)
+    }
 
     /// Verifies a procedure against its specification, starting from an empty
     /// state.
@@ -2361,16 +2433,14 @@ impl<S: StateModel> Engine<S> {
         let spec = self
             .prog
             .spec(name)
-            .ok_or_else(|| VerError::missing_spec(format!("no specification for {name}")))?
-            .clone();
+            .ok_or_else(|| VerError::missing_spec(format!("no specification for {name}")))?;
         if spec.trusted {
             return Ok(0);
         }
         let proc = self
             .prog
             .proc(name)
-            .ok_or_else(|| VerError::missing_spec(format!("no procedure named {name}")))?
-            .clone();
+            .ok_or_else(|| VerError::missing_spec(format!("no procedure named {name}")))?;
         let mut cfg: Config<S> = Config::new(self.solver.ctx());
         cfg.state = initial;
         let mut param_map: HashMap<Symbol, Expr> = HashMap::new();
@@ -2390,25 +2460,16 @@ impl<S: StateModel> Engine<S> {
         let ret_sym = Symbol::new(RET_VAR);
         let mut checked_paths = 0u64;
         for start_cfg in produced {
-            let paths = self.exec_proc(start_cfg, &proc, 0)?;
+            let paths = self.exec_proc(start_cfg, proc, 0)?;
             for (cfg, ret_val) in paths {
                 checked_paths += 1;
                 let mut post_map = param_map.clone();
-                post_map.insert(ret_sym, ret_val.clone());
-                let mut matched = false;
-                let mut last_err = None;
-                for post in &spec.posts {
-                    let post = post.subst_pvars(&|s| post_map.get(&s).cloned());
-                    match self.consume(cfg.clone(), bindings.clone(), &post) {
-                        Ok(branches) if !branches.is_empty() => {
-                            matched = true;
-                            break;
-                        }
-                        Ok(_) => {}
-                        Err(e) => last_err = Some(e),
-                    }
-                }
-                if !matched {
+                post_map.insert(ret_sym, ret_val);
+                let posts = spec
+                    .posts
+                    .iter()
+                    .map(|post| post.subst_pvars(&|s| post_map.get(&s).cloned()));
+                if let Err(last_err) = self.consume_first(cfg, &bindings, posts) {
                     let base = format!("postcondition of {name} not satisfied on some path");
                     return Err(match last_err {
                         Some(e) => VerError {
@@ -2449,14 +2510,13 @@ impl<S: StateModel> Engine<S> {
         let lemma = self
             .prog
             .lemma(name)
-            .ok_or_else(|| VerError::missing_spec(format!("no lemma named {name}")))?
-            .clone();
+            .ok_or_else(|| VerError::missing_spec(format!("no lemma named {name}")))?;
         if lemma.trusted {
             return Ok(0);
         }
         let proof = lemma
             .proof
-            .clone()
+            .as_ref()
             .ok_or_else(|| VerError::missing_spec(format!("lemma {name} has no proof script")))?;
         let mut cfg: Config<S> = Config::new(self.solver.ctx());
         cfg.state = initial;
@@ -2466,7 +2526,7 @@ impl<S: StateModel> Engine<S> {
         }
         let produced = self.produce(cfg, &lemma.hyp, &mut bindings);
         let mut configs = produced;
-        for step in &proof {
+        for step in proof {
             // Logic commands in lemma proofs refer to the lemma parameters as
             // logical variables; substitute them first.
             let step = subst_logic_cmd(step, &bindings);
@@ -2479,16 +2539,10 @@ impl<S: StateModel> Engine<S> {
         let mut checked_paths = 0u64;
         for c in configs {
             checked_paths += 1;
-            let mut matched = false;
-            for concl in &lemma.concls {
-                if let Ok(branches) = self.consume(c.clone(), bindings.clone(), concl) {
-                    if !branches.is_empty() {
-                        matched = true;
-                        break;
-                    }
-                }
-            }
-            if !matched {
+            if self
+                .consume_first(c, &bindings, lemma.concls.iter())
+                .is_err()
+            {
                 return Err(VerError::spec_mismatch(format!(
                     "conclusion of lemma {name} not satisfied on some path"
                 )));
@@ -2536,6 +2590,207 @@ mod tests {
         assert!(engine.unify(&cfg, &mut bindings, &Expr::some(Expr::LVar(x)), &h));
         assert_eq!(bindings.get(&x), Some(&w));
         assert_eq!(engine.solver.stats().queries(), queries);
+    }
+}
+
+/// Configurations are copied only where a proof forks. The state model
+/// below counts its clones, and a configuration copy clones the state once,
+/// so the count is the number of configuration copies.
+#[cfg(test)]
+mod clone_tests {
+    use super::*;
+    use crate::state::{ConsumeOk, ProduceOk, PureCtx};
+    use std::cell::Cell;
+
+    thread_local! {
+        static CLONES: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// A heap of `cell(loc; val)` resources whose `Clone` counts. Its own
+    /// operations build new states without cloning.
+    #[derive(Debug, Default)]
+    struct Cells(Vec<(Expr, Expr)>);
+
+    impl Clone for Cells {
+        fn clone(&self) -> Self {
+            CLONES.with(|n| n.set(n.get() + 1));
+            Cells(self.0.clone())
+        }
+    }
+
+    impl StateModel for Cells {
+        fn empty() -> Self {
+            Cells::default()
+        }
+
+        fn exec_action(&self, name: Symbol, _: &[Expr], _: &mut PureCtx<'_>) -> ActionResult<Self> {
+            ActionResult::Error(format!("no action {name}"))
+        }
+
+        fn consume_core(
+            &self,
+            _: Symbol,
+            ins: &[Expr],
+            ctx: &mut PureCtx<'_>,
+        ) -> ConsumeResult<Self> {
+            match self
+                .0
+                .iter()
+                .position(|(loc, _)| ctx.must_equal(loc, &ins[0]))
+            {
+                Some(i) => {
+                    let mut rest = self.0.to_vec();
+                    let (_, val) = rest.remove(i);
+                    ConsumeResult::Ok(vec![ConsumeOk {
+                        state: Cells(rest),
+                        outs: vec![val],
+                        facts: vec![],
+                    }])
+                }
+                None => ConsumeResult::Missing {
+                    msg: "no such cell".into(),
+                    hint: ins.to_vec(),
+                },
+            }
+        }
+
+        fn produce_core(
+            &self,
+            _: Symbol,
+            ins: &[Expr],
+            outs: &[Expr],
+            _: &mut PureCtx<'_>,
+        ) -> Vec<ProduceOk<Self>> {
+            let mut cells = self.0.to_vec();
+            cells.push((ins[0].clone(), outs[0].clone()));
+            vec![ProduceOk {
+                state: Cells(cells),
+                facts: vec![],
+            }]
+        }
+
+        fn core_arity(&self, _: Symbol) -> Option<(usize, usize)> {
+            Some((1, 1))
+        }
+
+        fn is_empty_heap(&self) -> bool {
+            self.0.is_empty()
+        }
+    }
+
+    /// Runs `f` and returns its result with the number of state clones.
+    fn clones_in<R>(f: impl FnOnce() -> R) -> (R, usize) {
+        CLONES.with(|n| n.set(0));
+        let r = f();
+        (r, CLONES.with(|n| n.get()))
+    }
+
+    fn cell(loc: Expr, val: Expr) -> Asrt {
+        Asrt::core("cell", vec![loc], vec![val])
+    }
+
+    fn config(engine: &Engine<Cells>) -> Config<Cells> {
+        Config::new(engine.solver.ctx())
+    }
+
+    #[test]
+    fn consuming_a_folded_instance_copies_nothing() {
+        let mut prog = Prog::new();
+        prog.add_pred(Pred::abstract_pred("p", &["x", "v"], 1));
+        let engine: Engine<Cells> = Engine::new(prog);
+        let mut cfg = config(&engine);
+        let x = cfg.fresh();
+        cfg.folded.push(FoldedPred {
+            name: Symbol::new("p"),
+            args: vec![x.clone(), Expr::Int(5)],
+        });
+        let asrt = Asrt::pred("p", vec![x, Expr::lvar("v")]);
+        let (branches, clones) = clones_in(|| engine.consume(cfg, Bindings::new(), &asrt));
+        let branches = branches.expect("the folded instance matches");
+        assert_eq!(clones, 0);
+        assert_eq!(branches.len(), 1);
+        assert!(branches[0].0.folded.is_empty());
+        assert_eq!(branches[0].1.get(&Symbol::new("v")), Some(&Expr::Int(5)));
+    }
+
+    #[test]
+    fn single_outcome_core_steps_copy_nothing() {
+        let engine: Engine<Cells> = Engine::new(Prog::new());
+        let mut cfg = config(&engine);
+        let x = cfg.fresh();
+        let loc = std::slice::from_ref(&x);
+        let (mut produced, clones) =
+            clones_in(|| engine.produce_core(cfg, Symbol::new("cell"), loc, &[Expr::Int(7)]));
+        assert_eq!(clones, 0);
+        assert_eq!(produced.len(), 1);
+        let cfg = produced.remove(0);
+        let asrt = cell(x, Expr::lvar("v"));
+        let (consumed, clones) = clones_in(|| engine.consume(cfg, Bindings::new(), &asrt));
+        let consumed = consumed.expect("the cell is there");
+        assert_eq!(clones, 0);
+        assert_eq!(consumed.len(), 1);
+        assert_eq!(consumed[0].1.get(&Symbol::new("v")), Some(&Expr::Int(7)));
+    }
+
+    #[test]
+    fn folding_copies_only_past_the_pure_prefix() {
+        // `p(x)` is `x == 0 * cell(x; v)` or `x == 1 * cell(x; v)`. With
+        // `x == 1` the first definition fails on its pure atom, before any
+        // copy; the second copies once, at `cell`.
+        let def = |k: i128| {
+            Asrt::star(vec![
+                Asrt::pure(Expr::eq(Expr::lvar("x"), Expr::Int(k))),
+                cell(Expr::lvar("x"), Expr::lvar("v")),
+            ])
+        };
+        let mut prog = Prog::new();
+        prog.add_pred(Pred::new("p", &["x"], 1, vec![def(0), def(1)]));
+        let engine: Engine<Cells> = Engine::new(prog);
+        let mut cfg = config(&engine);
+        let x = cfg.fresh();
+        assert!(cfg.assume(Expr::eq(x.clone(), Expr::Int(1))));
+        cfg.state = Cells(vec![(x.clone(), Expr::Int(7))]);
+        let asrt = Asrt::pred("p", vec![x]);
+        let (branches, clones) = clones_in(|| engine.consume(cfg, Bindings::new(), &asrt));
+        let branches = branches.expect("the second definition folds");
+        assert_eq!(clones, 1);
+        assert_eq!(branches.len(), 1);
+        assert!(branches[0].0.state.0.is_empty());
+        assert_eq!(engine.stats().folds, 1);
+    }
+
+    #[test]
+    fn a_symbolic_goto_if_copies_once() {
+        // Two paths, checked against two postconditions: the first fails on
+        // its pure atom and the second, the last, takes each final state.
+        let mut prog = Prog::new();
+        prog.add_proc(Proc::new(
+            "branchy",
+            &["x"],
+            vec![
+                Cmd::GotoIf {
+                    guard: Expr::eq(Expr::pvar("x"), Expr::Int(0)),
+                    then_target: 1,
+                    else_target: 2,
+                },
+                Cmd::Return(Expr::Int(1)),
+                Cmd::Return(Expr::Int(2)),
+            ],
+        ));
+        prog.add_spec(Spec::with_posts(
+            "branchy",
+            Asrt::Emp,
+            vec![
+                Asrt::pure(Expr::eq(Expr::pvar(RET_VAR), Expr::Int(3))),
+                Asrt::pure(Expr::lt(Expr::Int(0), Expr::pvar(RET_VAR))),
+            ],
+        ));
+        let engine: Engine<Cells> = Engine::new(prog);
+        let (report, clones) = clones_in(|| engine.verify_proc("branchy"));
+        assert!(report.verified, "{:?}", report.error);
+        assert_eq!(report.paths, 2);
+        assert_eq!(engine.stats().branches, 1);
+        assert_eq!(clones, 1);
     }
 }
 

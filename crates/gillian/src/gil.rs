@@ -424,7 +424,7 @@ mod tests {
             ),
             (LogicCmd::Assert(pred_atom.clone()), "assert own(p)"),
             (LogicCmd::Assume(Expr::pvar("b")), "assume b"),
-            (LogicCmd::Produce(pred_atom.clone()), "produce own(p)"),
+            (LogicCmd::Produce(pred_atom), "produce own(p)"),
             (
                 LogicCmd::Consume(Asrt::Pure(Expr::lvar("x"))),
                 "consume (#x)",

@@ -33,6 +33,10 @@
 //! assert!(engine.verify_proc("double").verified);
 //! ```
 
+// A copied configuration is the engine's largest avoidable cost; this lint
+// catches a clone whose value is never used again.
+#![warn(clippy::redundant_clone)]
+
 pub mod asrt;
 pub mod cfg;
 pub mod config;

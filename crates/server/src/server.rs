@@ -407,9 +407,10 @@ impl ServerCore {
             clauses
                 .iter()
                 .map(|src| {
-                    parse_term(src)
-                        .map(|t| elaborate(&t))
-                        .map_err(|e| format!("{what} `{src}`: {} at byte {}", e.message, e.offset))
+                    parse_term(src).map(|t| elaborate(&t)).map_err(|e| {
+                        let clause = quote_clause(src);
+                        format!("{what} {clause}: {} at byte {}", e.message, e.offset)
+                    })
                 })
                 .collect::<Result<Vec<_>, String>>()
         };
@@ -665,6 +666,23 @@ impl ServerCore {
             }
         }
     }
+}
+
+/// How many bytes of a rejected clause an error message quotes.
+const QUOTED_CLAUSE_BYTES: usize = 64;
+
+/// Quotes a clause for an error message. A clause longer than
+/// [`QUOTED_CLAUSE_BYTES`] is cut on a char boundary and its full length
+/// given, so a huge rejected clause does not come back in the response.
+fn quote_clause(src: &str) -> String {
+    if src.len() <= QUOTED_CLAUSE_BYTES {
+        return format!("`{src}`");
+    }
+    let mut end = QUOTED_CLAUSE_BYTES;
+    while !src.is_char_boundary(end) {
+        end -= 1;
+    }
+    format!("`{}…` ({} bytes)", &src[..end], src.len())
 }
 
 /// Writes `target`'s tracked outcome to `store` if it is verified — only
@@ -1145,6 +1163,8 @@ mod tests {
         assert_eq!(v.get("ok").and_then(Value::as_bool), Some(false));
         let error = v.get("error").and_then(Value::as_str).unwrap();
         assert!(error.contains("nests deeper"), "{error}");
+        // The error quotes a bounded prefix of the clause, not all of it.
+        assert!(resp.len() < 1024, "{} byte response: {error}", resp.len());
 
         // `inc` keeps the spec it had: re-sending it changes nothing, and
         // the next verify re-proves nothing.
@@ -1153,6 +1173,16 @@ mod tests {
         let v = ok(&core.handle_line(r#"{"id":6,"cmd":"verify"}"#));
         assert!(names(&v, "reverified").is_empty());
         assert_eq!(names(&v, "cached"), vec!["base", "inc", "inc2"]);
+    }
+
+    #[test]
+    fn quote_clause_cuts_a_long_clause_on_a_char_boundary() {
+        assert_eq!(quote_clause("x@ < 1"), "`x@ < 1`");
+        // One ASCII byte then two-byte chars: byte 64 falls inside a char,
+        // so the quote stops at byte 63.
+        let clause = format!("x{}", "é".repeat(100));
+        let quoted = quote_clause(&clause);
+        assert_eq!(quoted, format!("`x{}…` (201 bytes)", "é".repeat(31)));
     }
 
     #[test]
