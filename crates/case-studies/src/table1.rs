@@ -98,30 +98,15 @@ impl Table1Case {
 /// The six Table 1 entries (EvenInt, LP ×2, LinkedList ×2, MiniVec), each
 /// session configured with the given worker count for its own batch.
 pub fn table1_cases(workers: usize) -> Vec<Table1Case> {
-    table1_cases_with(workers, 1)
-}
-
-/// Same entries with an explicit branch-parallelism width: `workers` spreads
-/// the obligations of each row, `branch_parallelism` spreads the branches of
-/// each obligation over the engine's work-stealing scheduler.
-pub fn table1_cases_with(workers: usize, branch_parallelism: usize) -> Vec<Table1Case> {
-    table1_cases_with_prune(workers, branch_parallelism, true)
+    table1_cases_with_prune(workers, true)
 }
 
 /// Same entries with the static-pruning oracle toggled explicitly: the
 /// differential tests in `tests/absint.rs` run the suite once pruned and
 /// once unpruned and require identical verdicts and diagnostics.
-pub fn table1_cases_with_prune(
-    workers: usize,
-    branch_parallelism: usize,
-    static_prune: bool,
-) -> Vec<Table1Case> {
+pub fn table1_cases_with_prune(workers: usize, static_prune: bool) -> Vec<Table1Case> {
     use SpecMode::{FunctionalCorrectness as FC, TypeSafety as TS};
-    let sess = move |s: HybridSession| {
-        s.with_workers(workers)
-            .with_branch_parallelism(branch_parallelism)
-            .with_static_prune(static_prune)
-    };
+    let sess = move |s: HybridSession| s.with_workers(workers).with_static_prune(static_prune);
     vec![
         Table1Case::new("EvenInt", "TS/FC", even_int::ALOC, move || {
             sess(even_int::session(FC))

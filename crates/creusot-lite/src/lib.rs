@@ -38,5 +38,5 @@ pub mod pearlite;
 
 pub use elaborate::elaborate;
 pub use extern_specs::ExternSpecs;
-pub use parse::{parse_term, ParseError};
+pub use parse::{parse_term, quote_clause, ParseError};
 pub use pearlite::Term;

@@ -51,6 +51,39 @@ const MAX_DEPTH: usize = 128;
 /// A parsed term and the height of its syntax tree (a leaf has height 0).
 type Parsed = Result<(Term, usize), ParseError>;
 
+/// How much of a clause or token an error message quotes.
+const QUOTED_BYTES: usize = 64;
+
+/// Quotes source text for an error message. Text longer than 64 bytes is
+/// cut on a char boundary and its full length given, so a huge rejected
+/// clause or token does not come back in the message.
+/// Out of line and cold: the parser's recursive frames call it only on
+/// their error paths and must not grow for it.
+#[cold]
+#[inline(never)]
+pub fn quote_clause(src: &str) -> String {
+    if src.len() <= QUOTED_BYTES {
+        return format!("`{src}`");
+    }
+    let mut end = QUOTED_BYTES;
+    while !src.is_char_boundary(end) {
+        end -= 1;
+    }
+    format!("`{}…` ({} bytes)", &src[..end], src.len())
+}
+
+/// The error for an unknown `what` at `tok`, followed by `expected`. Out
+/// of line and cold, like [`quote_clause`], so that [`Parser::ident`] and
+/// [`Parser::method`], which sit on the recursive path, keep small frames.
+#[cold]
+#[inline(never)]
+fn unknown(what: &str, tok: &Token, expected: &str) -> ParseError {
+    ParseError {
+        message: format!("unknown {what} {}{expected}", quote_clause(&tok.text)),
+        offset: tok.offset,
+    }
+}
+
 /// Parses one Pearlite term from `src` (the whole input must be consumed).
 pub fn parse_term(src: &str) -> Result<Term, ParseError> {
     let tokens = lex(src)?;
@@ -62,7 +95,7 @@ pub fn parse_term(src: &str) -> Result<Term, ParseError> {
     let (t, _) = p.implies()?;
     match p.peek() {
         None => Ok(t),
-        Some(tok) => Err(p.error(format!("unexpected trailing `{}`", tok.text))),
+        Some(tok) => Err(p.error(format!("unexpected trailing {}", quote_clause(&tok.text)))),
     }
 }
 
@@ -404,12 +437,11 @@ impl Parser {
                 let h = self.above(h.max(hlo).max(hhi))?;
                 Ok((Term::SeqSub(s, Box::new(lo), Box::new(hi)), h))
             }
-            other => Err(ParseError {
-                message: format!(
-                    "unknown method `{other}` (expected len, concat, push, subsequence or permutation_of)"
-                ),
-                offset: name.offset,
-            }),
+            _ => Err(unknown(
+                "method",
+                &name,
+                " (expected len, concat, push, subsequence or permutation_of)",
+            )),
         }
     }
 
@@ -422,7 +454,7 @@ impl Parser {
             Kind::Int => {
                 self.bump();
                 let value: i128 = tok.text.parse().map_err(|_| ParseError {
-                    message: format!("integer literal `{}` out of range", tok.text),
+                    message: format!("integer literal {} out of range", quote_clause(&tok.text)),
                     offset: tok.offset,
                 })?;
                 Ok((Term::Int(value), 0))
@@ -465,12 +497,7 @@ impl Parser {
                         self.expect(Kind::RParen, "`)` after singleton argument")?;
                         Ok((Term::SeqSingleton(Box::new(inner)), self.above(h)?))
                     }
-                    other => Err(ParseError {
-                        message: format!(
-                            "unknown Seq item `{other}` (expected EMPTY or singleton)"
-                        ),
-                        offset: item.offset,
-                    }),
+                    _ => Err(unknown("Seq item", &item, " (expected EMPTY or singleton)")),
                 }
             }
             "usize" => {
@@ -479,10 +506,7 @@ impl Parser {
                 if item.text == "MAX" {
                     leaf(Term::UsizeMax)
                 } else {
-                    Err(ParseError {
-                        message: format!("unknown usize item `{}`", item.text),
-                        offset: item.offset,
-                    })
+                    Err(unknown("usize item", &item, ""))
                 }
             }
             _ => leaf(Term::Var(tok.text)),
@@ -660,6 +684,27 @@ mod tests {
         assert!(parse_term(&links(MAX_DEPTH / 2)).is_ok());
         let err = parse_term(&links(MAX_DEPTH / 2 + 1)).unwrap_err();
         assert!(err.message.contains("nests deeper"), "{err}");
+    }
+
+    #[test]
+    fn long_tokens_are_quoted_in_bounded_errors() {
+        let long = "m".repeat(100_000);
+        for (src, what) in [
+            (format!("x@ < {}", "9".repeat(100_000)), "integer literal"),
+            (format!("x@ < usize::{long}"), "unknown usize item"),
+            (format!("Seq::{long}"), "unknown Seq item"),
+            (format!("x@.{long}()"), "unknown method"),
+            (format!("x@ {long}"), "unexpected trailing"),
+        ] {
+            let err = parse_term(&src).unwrap_err();
+            assert!(err.message.starts_with(what), "{err}");
+            assert!(err.message.contains("(100000 bytes)"), "{err}");
+            assert!(
+                err.message.len() < 200,
+                "{} byte message",
+                err.message.len()
+            );
+        }
     }
 
     #[test]

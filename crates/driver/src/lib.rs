@@ -202,8 +202,6 @@ pub struct VerificationReport {
     pub mode: SpecMode,
     /// Worker threads the batch ran on.
     pub workers: usize,
-    /// Branch-level worker threads per obligation (1 = serial exploration).
-    pub branch_parallelism: usize,
     /// Per-target outcomes, in registration order regardless of worker count.
     pub cases: Vec<CaseOutcome>,
     /// End-to-end wall-clock time of the batch.
@@ -291,15 +289,13 @@ impl VerificationReport {
             String::new()
         };
         let mut out = format!(
-            "== {} ({mode}) — {}/{} verified, wall {:.3}s, cpu {:.3}s, {} worker(s), {} branch worker(s) ({} stolen, {} max live), solver {} ({} queries, {} cache hits, {} incremental hits, kernel {:.3}s{smt}{disk}{absint}) ==\n",
+            "== {} ({mode}) — {}/{} verified, wall {:.3}s, cpu {:.3}s, {} worker(s), {} max live branches, solver {} ({} queries, {} cache hits, {} incremental hits, kernel {:.3}s{smt}{disk}{absint}) ==\n",
             self.session,
             self.verified_count(),
             self.cases.len(),
             self.wall_time.as_secs_f64(),
             self.cpu_time().as_secs_f64(),
             self.workers,
-            self.branch_parallelism,
-            self.stats.branches_stolen,
             self.stats.max_live_branches,
             self.backend,
             self.solver.queries(),
@@ -337,10 +333,6 @@ impl VerificationReport {
         out.push_str(&format!("\"session\":{},", json_str(&self.session)));
         out.push_str(&format!("\"mode\":\"{mode}\","));
         out.push_str(&format!("\"workers\":{},", self.workers));
-        out.push_str(&format!(
-            "\"branch_parallelism\":{},",
-            self.branch_parallelism
-        ));
         out.push_str(&format!("\"all_verified\":{},", self.all_verified()));
         out.push_str(&format!(
             "\"wall_seconds\":{:.6},",
@@ -370,7 +362,7 @@ impl VerificationReport {
             self.solver.absint_facts_seeded,
         ));
         out.push_str(&format!(
-            "\"stats\":{{\"commands\":{},\"folds\":{},\"unfolds\":{},\"borrow_opens\":{},\"borrow_closes\":{},\"recoveries\":{},\"branches\":{},\"branches_stolen\":{},\"max_live_branches\":{}}},",
+            "\"stats\":{{\"commands\":{},\"folds\":{},\"unfolds\":{},\"borrow_opens\":{},\"borrow_closes\":{},\"recoveries\":{},\"branches\":{},\"max_live_branches\":{}}},",
             self.stats.commands_executed,
             self.stats.folds,
             self.stats.unfolds,
@@ -378,7 +370,6 @@ impl VerificationReport {
             self.stats.borrow_closes,
             self.stats.recoveries,
             self.stats.branches,
-            self.stats.branches_stolen,
             self.stats.max_live_branches,
         ));
         out.push_str("\"lints\":[");
@@ -479,7 +470,6 @@ pub struct SessionBuilder {
     backend: Option<BackendKind>,
     baseline: bool,
     workers: Option<usize>,
-    branch_parallelism: Option<usize>,
     specs: Option<SpecsFn>,
     configures: Vec<ConfigureFn>,
     extern_specs: Vec<ExternSpecs>,
@@ -503,7 +493,6 @@ impl Default for SessionBuilder {
             backend: None,
             baseline: false,
             workers: None,
-            branch_parallelism: None,
             specs: None,
             configures: Vec::new(),
             extern_specs: Vec::new(),
@@ -571,18 +560,6 @@ impl SessionBuilder {
     /// to the machine's available parallelism, capped by the target count.
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = Some(workers.max(1));
-        self
-    }
-
-    /// Number of worker threads exploring sibling branches *within* one
-    /// proof obligation (the work-stealing scheduler of
-    /// `gillian_engine::schedule`; `1` — the default — keeps the serial
-    /// depth-first driver). Branch results are reordered by fork path, so
-    /// verdicts and diagnostics are identical at any width. Composes with
-    /// [`SessionBuilder::workers`]: `workers` spreads obligations,
-    /// `branch_parallelism` spreads the branches of each obligation.
-    pub fn branch_parallelism(mut self, workers: usize) -> Self {
-        self.branch_parallelism = Some(workers.max(1));
         self
     }
 
@@ -689,14 +666,14 @@ impl SessionBuilder {
     }
 
     /// Caps the wall-clock budget of each individual target. The engine
-    /// checks the deadline cooperatively (once per symbolic step, on every
-    /// branch worker), so a runaway proof fails with a structured
-    /// [`VerifyDiagnostic`] of category `timeout` instead of hanging the
-    /// batch. A timed-out target is explicitly *incomplete* — reported
-    /// unverified, never written to the proof cache — and the rest of the
-    /// batch proceeds normally. Deliberately excluded from the cache
-    /// namespace: only verified outcomes are cached, and the budget cannot
-    /// change what "verified" means.
+    /// checks the deadline cooperatively (once per symbolic step), so a
+    /// runaway proof fails with a structured [`VerifyDiagnostic`] of
+    /// category `timeout` instead of hanging the batch. A timed-out target
+    /// is explicitly *incomplete* — reported unverified, never written to
+    /// the proof cache — and the rest of the batch proceeds normally.
+    /// Deliberately excluded from the cache namespace: only verified
+    /// outcomes are cached, and the budget cannot change what "verified"
+    /// means.
     pub fn target_timeout(mut self, budget: Duration) -> Self {
         self.target_timeout = Some(budget);
         self
@@ -768,9 +745,6 @@ impl SessionBuilder {
         }
         if let Some(kind) = self.backend {
             engine_opts.backend = kind;
-        }
-        if let Some(n) = self.branch_parallelism {
-            engine_opts.branch_parallelism = n;
         }
         if let Some(b) = self.static_prune {
             engine_opts.static_prune = b;
@@ -888,11 +862,11 @@ fn typed_load_bounds(types: Types) -> ActionBounds {
 
 /// Fingerprint of the verification configuration a cached outcome is valid
 /// for: session name, mode, and every verdict-affecting engine option.
-/// Deliberately excludes the solver backend, worker counts, branch
-/// parallelism and `static_prune` — those change *how fast* a verdict is
-/// reached, never the verdict itself (asserted by the backend,
-/// branch-width and static-prune differential tests) — so a cache warmed
-/// under one configuration serves all of them.
+/// Deliberately excludes the solver backend, the worker count and
+/// `static_prune` — those change *how fast* a verdict is reached, never
+/// the verdict itself (asserted by the backend, worker-count and
+/// static-prune differential tests) — so a cache warmed under one
+/// configuration serves all of them.
 fn session_namespace(name: &str, mode: SpecMode, opts: &EngineOptions) -> u64 {
     let mode = match mode {
         SpecMode::TypeSafety => "type-safety",
@@ -1007,16 +981,11 @@ impl HybridSession {
         self
     }
 
-    /// Branch-level worker threads per obligation.
-    pub fn branch_parallelism(&self) -> usize {
-        self.verifier.engine.opts.branch_parallelism
-    }
-
-    /// Changes the branch-level worker count of an already-built session
-    /// (the compiled program, arena and cache are reused — this is how the
-    /// branch-parallel bench re-runs the suite at several widths).
-    pub fn with_branch_parallelism(mut self, workers: usize) -> Self {
-        self.verifier.engine.opts.branch_parallelism = workers.max(1);
+    /// Ignored: every obligation is explored by one serial depth-first
+    /// driver. Returns the session unchanged; kept only so that callers
+    /// written against the removed branch-width knob still build.
+    #[deprecated(note = "ignored: each obligation is explored serially")]
+    pub fn with_branch_parallelism(self, _workers: usize) -> Self {
         self
     }
 
@@ -1271,7 +1240,6 @@ impl HybridSession {
             session: self.name.clone(),
             mode: self.mode,
             workers: self.workers,
-            branch_parallelism: self.branch_parallelism(),
             cases,
             wall_time: Duration::ZERO,
             stats: EngineStats::default(),
@@ -1293,7 +1261,6 @@ impl HybridSession {
             session: self.name.clone(),
             mode: self.mode,
             workers,
-            branch_parallelism: self.branch_parallelism(),
             cases,
             wall_time: start.elapsed(),
             stats: self.verifier.stats().since(stats_before),
@@ -1348,7 +1315,6 @@ impl HybridSession {
             mode: self.mode,
             // Misses run serially under the recording window.
             workers: 1,
-            branch_parallelism: self.branch_parallelism(),
             cases,
             wall_time: start.elapsed(),
             stats: self.verifier.stats().since(stats_before),
@@ -1616,7 +1582,6 @@ mod tests {
         let b = demo_builder(true).workers(8).build().unwrap();
         let c = demo_builder(true)
             .backend(BackendKind::CachedIncremental)
-            .branch_parallelism(4)
             .build()
             .unwrap();
         assert_eq!(a.cache_namespace(), b.cache_namespace());

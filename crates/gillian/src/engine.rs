@@ -17,13 +17,12 @@
 use crate::asrt::{Asrt, Pred, Spec};
 use crate::config::{Bindings, ClosingToken, Config, FoldedPred, GuardedPred};
 use crate::gil::{Cmd, LogicCmd, Proc, Prog};
-use crate::schedule::{ForkPath, WorkItem, WorkQueue};
 use crate::state::{ActionResult, ConsumeResult, StateModel};
 use gillian_solver::{simplify, BackendKind, Expr, Solver, Symbol};
 use std::borrow::{Borrow, Cow};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Is `GILLIAN_DEBUG` set? Read from the environment once per process and
@@ -160,26 +159,20 @@ pub struct EngineOptions {
     /// Wall-clock time box for each external SMT solve (milliseconds;
     /// [`BackendKind::SmtLib`] only). On timeout the solver process is
     /// killed and respawned and the in-flight cache entry for the query is
-    /// abandoned, so parked branch workers resume instead of hanging.
+    /// abandoned, so parked obligation workers resume instead of hanging.
     /// Defaults to `GILLIAN_SMT_TIMEOUT_MS` or 3000.
     pub smt_timeout_ms: u64,
     /// Explicit external solver command line for [`BackendKind::SmtLib`]
     /// (`None` probes `GILLIAN_SMT`, then `PATH` for `z3`/`cvc5`). Lets
     /// tests and benches inject stub solvers deterministically.
     pub smt_command: Option<Vec<String>>,
-    /// One external SMT process per concurrently-solving branch worker
+    /// One external SMT process per concurrently-solving obligation worker
     /// (the default: workers never serialise on the hub mutex; idle
     /// processes are pooled, checked out by longest shared scope prefix,
     /// and share the declaration/naming tables). `false` restores the
     /// single shared process behind a mutex — also forced by
     /// `GILLIAN_SMT_SINGLE=1`.
     pub smt_per_worker: bool,
-    /// Number of worker threads exploring sibling branches of ONE proof
-    /// obligation (`1` = serial, the default). Branches are tagged with
-    /// their fork path and results are reordered before returning, so
-    /// verdicts and diagnostics are identical at any width; see
-    /// [`crate::schedule`].
-    pub branch_parallelism: usize,
     /// Consult the installed [`StaticOracle`] at symbolic `GotoIf`s: arms
     /// the static value analysis proves infeasible are skipped without
     /// forking a solver scope, partially-proven conjunctive guards assume
@@ -191,9 +184,9 @@ pub struct EngineOptions {
     /// Cooperative wall-clock deadline for each verification target
     /// (`None` = unbounded, the default). The deadline is installed when
     /// [`Engine::verify_proc_from`] / [`Engine::verify_lemma_from`] enter
-    /// and checked at every step of the serial and parallel drivers; a
-    /// target that overruns fails with [`VerErrorKind::Timeout`] carrying
-    /// the elapsed budget, and the rest of the batch is unaffected.
+    /// and checked at every step of [`Engine::exec_proc`]; a target that
+    /// overruns fails with [`VerErrorKind::Timeout`] carrying the elapsed
+    /// budget, and the rest of the batch is unaffected.
     /// Timeouts are failures, so they are never written to the proof cache
     /// — the option therefore does not participate in cache namespacing.
     pub target_timeout: Option<Duration>,
@@ -214,7 +207,6 @@ impl Default for EngineOptions {
             smt_timeout_ms: smt.timeout.as_millis() as u64,
             smt_command: None,
             smt_per_worker: smt.per_worker,
-            branch_parallelism: 1,
             static_prune: true,
             target_timeout: None,
         }
@@ -222,10 +214,10 @@ impl Default for EngineOptions {
 }
 
 // The per-thread target deadline: `(deadline, budget)`. Installed by the
-// verification entry points from [`EngineOptions::target_timeout`] and
-// read by the execution drivers; a thread-local (rather than an `Engine`
-// field) so concurrent obligations on one shared engine each get their own
-// clock. Parallel branch workers inherit it through [`BranchShared`].
+// verification entry points from [`EngineOptions::target_timeout`] and read
+// at every step of `Engine::exec_proc`. An obligation runs on one thread
+// from start to end, so a thread-local (rather than an `Engine` field)
+// gives each concurrent obligation on one shared engine its own clock.
 thread_local! {
     static TARGET_DEADLINE: std::cell::Cell<Option<(Instant, Duration)>> =
         const { std::cell::Cell::new(None) };
@@ -292,9 +284,6 @@ pub struct EngineStats {
     pub branches: u64,
     pub paths_completed: u64,
     pub commands_executed: u64,
-    /// Branches executed on a different worker than the one that forked them
-    /// (only the branch-parallel scheduler bumps this).
-    pub branches_stolen: u64,
     /// High-water mark of simultaneously-live (queued) branches across every
     /// `exec_proc` exploration since the last reset.
     pub max_live_branches: u64,
@@ -318,7 +307,6 @@ impl EngineStats {
             commands_executed: self
                 .commands_executed
                 .saturating_sub(earlier.commands_executed),
-            branches_stolen: self.branches_stolen.saturating_sub(earlier.branches_stolen),
             // A high-water mark, not a counter: the batch's mark is the
             // cumulative one (it cannot be meaningfully subtracted).
             max_live_branches: self.max_live_branches,
@@ -327,7 +315,8 @@ impl EngineStats {
 }
 
 /// Lock-free counters behind the engine's `&self` API: the hot loop bumps
-/// them once per command, so a mutex here would serialise parallel workers.
+/// them once per command, so a mutex here would serialise the obligation
+/// workers sharing one engine.
 #[derive(Debug, Default)]
 struct AtomicEngineStats {
     actions: AtomicU64,
@@ -341,7 +330,6 @@ struct AtomicEngineStats {
     branches: AtomicU64,
     paths_completed: AtomicU64,
     commands_executed: AtomicU64,
-    branches_stolen: AtomicU64,
     max_live_branches: AtomicU64,
 }
 
@@ -359,7 +347,6 @@ impl AtomicEngineStats {
             branches: self.branches.load(Ordering::Relaxed),
             paths_completed: self.paths_completed.load(Ordering::Relaxed),
             commands_executed: self.commands_executed.load(Ordering::Relaxed),
-            branches_stolen: self.branches_stolen.load(Ordering::Relaxed),
             max_live_branches: self.max_live_branches.load(Ordering::Relaxed),
         }
     }
@@ -377,7 +364,6 @@ impl AtomicEngineStats {
             &self.branches,
             &self.paths_completed,
             &self.commands_executed,
-            &self.branches_stolen,
             &self.max_live_branches,
         ] {
             field.store(0, Ordering::Relaxed);
@@ -414,28 +400,6 @@ impl<S> StepOutcome<S> {
     fn one(cfg: Config<S>, pc: usize) -> StepOutcome<S> {
         StepOutcome::Forked(vec![(cfg, pc)])
     }
-}
-
-/// State shared by the branch-parallel workers of one `exec_proc` run.
-struct BranchShared<'a, S> {
-    /// Finished branches with their fork paths (sorted before returning).
-    finished: &'a Mutex<Vec<(ForkPath, Config<S>, Expr)>>,
-    /// The lexicographically-least failing branch seen so far.
-    first_err: &'a Mutex<Option<(ForkPath, VerError)>>,
-    /// Hot-path probe for `first_err` being `Some` (workers only take the
-    /// mutex once a failure exists).
-    has_err: AtomicBool,
-    /// The shared step budget tripped; workers drain without executing.
-    timed_out: AtomicBool,
-    /// The per-target wall-clock deadline tripped (see
-    /// [`EngineOptions::target_timeout`]); workers drain without executing.
-    deadline_hit: AtomicBool,
-    /// The target deadline, captured from the spawning thread's
-    /// thread-local before the scope starts (worker threads are fresh and
-    /// would otherwise see no deadline).
-    deadline: Option<(Instant, Duration)>,
-    /// Commands executed across all workers (the shared step budget).
-    steps: AtomicUsize,
 }
 
 /// Report for the verification of one procedure or lemma.
@@ -1867,39 +1831,9 @@ impl<S: StateModel> Engine<S> {
         }
     }
 
-    /// Executes a procedure body from the beginning, returning the final
-    /// configuration and return value of every path, in deterministic
-    /// (depth-first) order.
-    ///
-    /// With [`EngineOptions::branch_parallelism`] > 1, the top-level (depth
-    /// 0) exploration distributes sibling branches over a work-stealing
-    /// worker pool; nested inlined calls stay serial inside their branch.
-    /// Branches carry fork paths and results are reordered (and the
-    /// lexicographically-least failing branch selected), so verdicts and
-    /// diagnostics are identical at any width.
-    pub fn exec_proc(
-        &self,
-        cfg: Config<S>,
-        proc: &Proc,
-        depth: usize,
-    ) -> Result<Vec<(Config<S>, Expr)>, VerError> {
-        if depth > self.opts.max_inline_depth {
-            return Err(VerError::timeout(format!(
-                "maximum inlining depth exceeded while executing {}",
-                proc.name
-            )));
-        }
-        if depth == 0 && self.opts.branch_parallelism > 1 {
-            self.exec_proc_parallel(cfg, proc, self.opts.branch_parallelism)
-        } else {
-            self.exec_proc_serial(cfg, proc, depth)
-        }
-    }
-
     /// Executes one command of `proc` at `pc` in `cfg`, classifying the
     /// outcome. Successors are returned in *canonical visit order*: the
-    /// order in which the serial depth-first driver explores them, which is
-    /// also the fork-path index order of the parallel scheduler.
+    /// order in which [`Engine::exec_proc`] explores them.
     fn step(
         &self,
         cfg: Config<S>,
@@ -2076,14 +2010,22 @@ impl<S: StateModel> Engine<S> {
         }
     }
 
-    /// The serial depth-first driver: a LIFO worklist, successors pushed in
-    /// reverse so they pop — and finish — in canonical visit order.
-    fn exec_proc_serial(
+    /// Executes a procedure body from the beginning, returning the final
+    /// configuration and return value of every path, in deterministic
+    /// depth-first order: a LIFO worklist, successors pushed in reverse so
+    /// they pop — and finish — in canonical visit order.
+    pub fn exec_proc(
         &self,
         cfg: Config<S>,
         proc: &Proc,
         depth: usize,
     ) -> Result<Vec<(Config<S>, Expr)>, VerError> {
+        if depth > self.opts.max_inline_depth {
+            return Err(VerError::timeout(format!(
+                "maximum inlining depth exceeded while executing {}",
+                proc.name
+            )));
+        }
         let mut work: Vec<(Config<S>, usize)> = vec![(cfg, 0)];
         let mut finished: Vec<(Config<S>, Expr)> = Vec::new();
         let mut steps = 0usize;
@@ -2121,179 +2063,6 @@ impl<S: StateModel> Engine<S> {
             .max_live_branches
             .fetch_max(max_live, Ordering::Relaxed);
         Ok(finished)
-    }
-
-    /// The work-stealing branch-parallel driver. Sibling branches execute on
-    /// `workers` scoped threads through a shared [`WorkQueue`]; every branch
-    /// is tagged with its fork path. Finished branches are sorted back into
-    /// canonical (serial depth-first) order, and on failure the
-    /// lexicographically-least failing branch — the one the serial driver
-    /// would have reached first — supplies the error, so verdicts and
-    /// diagnostics match the serial driver's.
-    ///
-    /// Step-budget caveat: the identity guarantee holds for runs that stay
-    /// within the step budget. The budget is shared across workers in
-    /// wall-clock order, so *near the boundary* the two drivers can diverge
-    /// in either direction (serial may time out inside a lex-earlier
-    /// subtree before ever reaching an error a parallel worker finds, or
-    /// parallel workers may burn the budget on lex-later subtrees the
-    /// serial driver would never visit). The policy here is fixed and
-    /// deterministic-in-kind: a concrete branch error, when one is found,
-    /// always beats the budget timeout.
-    fn exec_proc_parallel(
-        &self,
-        cfg: Config<S>,
-        proc: &Proc,
-        workers: usize,
-    ) -> Result<Vec<(Config<S>, Expr)>, VerError> {
-        let queue: WorkQueue<(Config<S>, usize)> = WorkQueue::new(workers);
-        queue.push(
-            0,
-            WorkItem {
-                path: ForkPath::new(),
-                item: (cfg, 0),
-            },
-        );
-        let finished: Mutex<Vec<(ForkPath, Config<S>, Expr)>> = Mutex::new(Vec::new());
-        let first_err: Mutex<Option<(ForkPath, VerError)>> = Mutex::new(None);
-        let shared = BranchShared {
-            finished: &finished,
-            first_err: &first_err,
-            has_err: AtomicBool::new(false),
-            timed_out: AtomicBool::new(false),
-            deadline_hit: AtomicBool::new(false),
-            deadline: current_deadline(),
-            steps: AtomicUsize::new(0),
-        };
-        std::thread::scope(|scope| {
-            for w in 0..workers {
-                let queue = &queue;
-                let shared = &shared;
-                scope.spawn(move || {
-                    self.branch_worker(w, queue, proc, shared);
-                });
-            }
-        });
-        self.stats
-            .branches_stolen
-            .fetch_add(queue.stolen(), Ordering::Relaxed);
-        self.stats
-            .max_live_branches
-            .fetch_max(queue.max_live() as u64, Ordering::Relaxed);
-        // Destructure to release the borrows of `finished`/`first_err`.
-        let BranchShared {
-            timed_out,
-            deadline_hit,
-            deadline,
-            ..
-        } = shared;
-        let timed_out = timed_out.load(Ordering::Relaxed);
-        let deadline_hit = deadline_hit.load(Ordering::Relaxed);
-        if let Some((_, e)) = first_err.into_inner().unwrap() {
-            return Err(e);
-        }
-        if deadline_hit {
-            let (_, budget) = deadline.expect("deadline_hit implies a deadline");
-            return Err(deadline_error(budget, proc.name));
-        }
-        if timed_out {
-            return Err(VerError::timeout(format!(
-                "step budget exhausted while executing {}",
-                proc.name
-            )));
-        }
-        let mut fin = finished.into_inner().unwrap();
-        fin.sort_by(|a, b| a.0.cmp(&b.0));
-        Ok(fin.into_iter().map(|(_, c, v)| (c, v)).collect())
-    }
-
-    /// One branch-parallel worker: take a branch, execute one command, push
-    /// the successors (extending the fork path at real forks only), repeat
-    /// until the exploration drains. Errors are folded into the
-    /// lexicographic minimum; branches strictly after the current first
-    /// error are discarded unseen (the serial driver would never have
-    /// reached them).
-    fn branch_worker(
-        &self,
-        w: usize,
-        queue: &WorkQueue<(Config<S>, usize)>,
-        proc: &Proc,
-        shared: &BranchShared<'_, S>,
-    ) {
-        while let Some(WorkItem {
-            path,
-            item: (cfg, pc),
-        }) = queue.pop_or_steal(w)
-        {
-            // Completes the pending slot even if step() panics below, so
-            // sibling workers drain and the panic propagates through the
-            // thread scope instead of hanging the exploration.
-            let _slot = queue.completion_guard();
-            // The error probe is a relaxed flag on the hot path; the mutex
-            // is only taken once a failure actually exists.
-            let doomed = shared.has_err.load(Ordering::Relaxed)
-                && shared
-                    .first_err
-                    .lock()
-                    .unwrap()
-                    .as_ref()
-                    .is_some_and(|(p, _)| *p < path);
-            if doomed
-                || shared.timed_out.load(Ordering::Relaxed)
-                || shared.deadline_hit.load(Ordering::Relaxed)
-            {
-                continue;
-            }
-            if shared.steps.fetch_add(1, Ordering::Relaxed) + 1 > self.opts.max_steps {
-                shared.timed_out.store(true, Ordering::Relaxed);
-                continue;
-            }
-            if let Some((dl, _)) = shared.deadline {
-                if Instant::now() >= dl {
-                    shared.deadline_hit.store(true, Ordering::Relaxed);
-                    continue;
-                }
-            }
-            if gillian_faults::hit("engine.step").is_some() {
-                let e = VerError::new(format!(
-                    "injected fault: engine step failed while executing {}",
-                    proc.name
-                ));
-                let mut best = shared.first_err.lock().unwrap();
-                if best.as_ref().is_none_or(|(p, _)| path < *p) {
-                    *best = Some((path.clone(), e));
-                }
-                shared.has_err.store(true, Ordering::Relaxed);
-                continue;
-            }
-            match self.step(cfg, pc, proc, 0) {
-                Ok(StepOutcome::Forked(succs)) => {
-                    // A single successor is a continuation, not a sibling:
-                    // it keeps its parent's fork path, so path length is
-                    // proportional to the branch's *fork depth*, not to the
-                    // number of commands executed.
-                    let fork = succs.len() > 1;
-                    for (i, s) in succs.into_iter().enumerate() {
-                        let mut p = path.clone();
-                        if fork {
-                            p.push(i as u32);
-                        }
-                        queue.push(w, WorkItem { path: p, item: s });
-                    }
-                }
-                Ok(StepOutcome::Finished(c, v)) => {
-                    shared.finished.lock().unwrap().push((path, *c, v));
-                }
-                Ok(StepOutcome::Pruned) => {}
-                Err(e) => {
-                    let mut best = shared.first_err.lock().unwrap();
-                    if best.as_ref().is_none_or(|(p, _)| path < *p) {
-                        *best = Some((path, e));
-                    }
-                    shared.has_err.store(true, Ordering::Relaxed);
-                }
-            }
-        }
     }
 
     /// Calls a procedure: by specification if one exists, otherwise by
@@ -2591,6 +2360,85 @@ mod tests {
         assert_eq!(bindings.get(&x), Some(&w));
         assert_eq!(engine.solver.stats().queries(), queries);
     }
+
+    #[test]
+    fn exec_proc_stops_at_the_step_budget() {
+        let mut prog = Prog::new();
+        prog.add_proc(Proc::new("spin", &[], vec![Cmd::Goto(0)]));
+        let opts = EngineOptions {
+            max_steps: 100,
+            ..EngineOptions::default()
+        };
+        let engine: Engine<EmptyState> = Engine::with_options(prog, opts);
+        let cfg: Config<EmptyState> = Config::new(engine.solver.ctx());
+        let proc = engine.prog.proc(Symbol::new("spin")).unwrap();
+        let err = engine.exec_proc(cfg, proc, 0).unwrap_err();
+        assert_eq!(err.kind, VerErrorKind::Timeout);
+        assert!(err.msg.contains("step budget"), "{err}");
+        assert_eq!(engine.stats().commands_executed, 100);
+    }
+}
+
+/// The depth-first driver on a diamond: `x == 0` returns 1; otherwise
+/// `x == 1` returns 2, else 3. The names date from the deleted
+/// branch-parallel driver, which had to reproduce this serial order.
+#[cfg(test)]
+mod branch_parallel_tests {
+    use super::*;
+    use crate::state::EmptyState;
+
+    fn diamond() -> Engine<EmptyState> {
+        let mut prog = Prog::new();
+        prog.add_proc(Proc::new(
+            "diamond",
+            &["x"],
+            vec![
+                Cmd::GotoIf {
+                    guard: Expr::eq(Expr::pvar("x"), Expr::Int(0)),
+                    then_target: 1,
+                    else_target: 2,
+                },
+                Cmd::Return(Expr::Int(1)),
+                Cmd::GotoIf {
+                    guard: Expr::eq(Expr::pvar("x"), Expr::Int(1)),
+                    then_target: 3,
+                    else_target: 4,
+                },
+                Cmd::Return(Expr::Int(2)),
+                Cmd::Return(Expr::Int(3)),
+            ],
+        ));
+        Engine::new(prog)
+    }
+
+    fn run(engine: &Engine<EmptyState>) -> Vec<Expr> {
+        let mut cfg: Config<EmptyState> = Config::new(engine.solver.ctx());
+        let x = cfg.fresh();
+        cfg.assign(Symbol::new("x"), x);
+        let proc = engine.prog.proc(Symbol::new("diamond")).unwrap();
+        engine
+            .exec_proc(cfg, proc, 0)
+            .expect("the diamond executes")
+            .into_iter()
+            .map(|(_, v)| v)
+            .collect()
+    }
+
+    #[test]
+    fn parallel_driver_matches_serial_order() {
+        let order = run(&diamond());
+        assert_eq!(order, vec![Expr::Int(1), Expr::Int(2), Expr::Int(3)]);
+        assert_eq!(run(&diamond()), order);
+    }
+
+    /// The driver never holds more than the two arms of one fork.
+    #[test]
+    fn parallel_driver_tracks_live_branches() {
+        let engine = diamond();
+        run(&engine);
+        assert_eq!(engine.stats().branches, 2);
+        assert_eq!(engine.stats().max_live_branches, 2);
+    }
 }
 
 /// Configurations are copied only where a proof forks. The state model
@@ -2791,86 +2639,5 @@ mod clone_tests {
         assert_eq!(report.paths, 2);
         assert_eq!(engine.stats().branches, 1);
         assert_eq!(clones, 1);
-    }
-}
-
-#[cfg(test)]
-mod branch_parallel_tests {
-    use super::*;
-    use crate::state::EmptyState;
-
-    /// A diamond: two symbolic branches that re-join, each returning a
-    /// distinct value. The parallel driver must return the same paths in
-    /// the same canonical order as the serial one.
-    fn branchy_prog() -> Prog {
-        let mut prog = Prog::new();
-        prog.add_proc(Proc::new(
-            "branchy",
-            &["x"],
-            vec![
-                // 0: if x == 0 goto 1 else 2
-                Cmd::GotoIf {
-                    guard: Expr::eq(Expr::pvar("x"), Expr::Int(0)),
-                    then_target: 1,
-                    else_target: 2,
-                },
-                // 1:
-                Cmd::Return(Expr::Int(1)),
-                // 2: if x == 1 goto 3 else 4
-                Cmd::GotoIf {
-                    guard: Expr::eq(Expr::pvar("x"), Expr::Int(1)),
-                    then_target: 3,
-                    else_target: 4,
-                },
-                // 3:
-                Cmd::Return(Expr::Int(2)),
-                // 4:
-                Cmd::Return(Expr::Int(3)),
-            ],
-        ));
-        prog
-    }
-
-    fn run_with(width: usize) -> Vec<Expr> {
-        let opts = EngineOptions {
-            branch_parallelism: width,
-            ..EngineOptions::default()
-        };
-        let engine: Engine<EmptyState> = Engine::with_options(branchy_prog(), opts);
-        let mut cfg: Config<EmptyState> = Config::new(engine.solver.ctx());
-        let x = cfg.fresh();
-        cfg.assign(Symbol::new("x"), x);
-        let proc = engine.prog.proc(Symbol::new("branchy")).unwrap().clone();
-        engine
-            .exec_proc(cfg, &proc, 0)
-            .expect("branchy executes")
-            .into_iter()
-            .map(|(_, v)| v)
-            .collect()
-    }
-
-    #[test]
-    fn parallel_driver_matches_serial_order() {
-        let serial = run_with(1);
-        assert_eq!(serial, vec![Expr::Int(1), Expr::Int(2), Expr::Int(3)]);
-        for width in [2, 4, 8] {
-            assert_eq!(run_with(width), serial, "width {width}");
-        }
-    }
-
-    /// Branch-scheduler counters reach the engine stats.
-    #[test]
-    fn parallel_driver_tracks_live_branches() {
-        let opts = EngineOptions {
-            branch_parallelism: 4,
-            ..EngineOptions::default()
-        };
-        let engine: Engine<EmptyState> = Engine::with_options(branchy_prog(), opts);
-        let mut cfg: Config<EmptyState> = Config::new(engine.solver.ctx());
-        let x = cfg.fresh();
-        cfg.assign(Symbol::new("x"), x);
-        let proc = engine.prog.proc(Symbol::new("branchy")).unwrap().clone();
-        engine.exec_proc(cfg, &proc, 0).unwrap();
-        assert!(engine.stats().max_live_branches >= 1);
     }
 }

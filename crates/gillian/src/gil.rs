@@ -354,8 +354,8 @@ impl Prog {
 
     /// Starts recording which procs/preds/specs/lemmas are looked up. The
     /// daemon wraps each verification target in a recording window to learn
-    /// its dependency set; only one target may record at a time per program
-    /// (branch workers of that target share the window safely).
+    /// its dependency set; only one target may record at a time per program,
+    /// so recorded targets run one after another (each on one thread).
     pub fn begin_dep_recording(&self) {
         self.dep_sink.reads.lock().unwrap().clear();
         self.dep_sink.enabled.store(true, Ordering::SeqCst);

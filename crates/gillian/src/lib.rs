@@ -42,7 +42,6 @@ pub mod cfg;
 pub mod config;
 pub mod engine;
 pub mod gil;
-pub mod schedule;
 pub mod state;
 
 pub use asrt::{Asrt, Lemma, Pred, Spec};
@@ -53,7 +52,6 @@ pub use engine::{
     TacticFn, VerError, VerErrorKind, LFT_TOKEN, RET_VAR,
 };
 pub use gil::{Cmd, DepKind, LogicCmd, Proc, Prog};
-pub use schedule::{ForkPath, WorkItem, WorkQueue};
 pub use state::{
     with_pure_ctx, ActionOk, ActionResult, ConsumeOk, ConsumeResult, EmptyState, ProduceOk,
     PureCtx, StateModel,

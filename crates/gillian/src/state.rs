@@ -185,9 +185,8 @@ pub struct ProduceOk<S> {
 }
 
 /// A state model: the symbolic memory (and any other components) of the
-/// target language. `Send` because configurations migrate between workers
-/// under branch-level parallelism (see `gillian_engine::schedule`).
-pub trait StateModel: Clone + std::fmt::Debug + Send {
+/// target language.
+pub trait StateModel: Clone + std::fmt::Debug {
     /// An empty state.
     fn empty() -> Self;
 

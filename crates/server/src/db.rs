@@ -116,11 +116,13 @@ pub struct ProgramDb {
 
 impl ProgramDb {
     /// Builds the session (and the side elaboration context) for a workload.
+    /// The fourth parameter is ignored: it was the removed branch width, and
+    /// stays only so that callers written against it still build.
     pub fn load(
         name: &str,
         mode: Option<SpecMode>,
         workers: Option<usize>,
-        branch_parallelism: Option<usize>,
+        _branch_parallelism: Option<usize>,
     ) -> Result<ProgramDb, String> {
         let w = workload(name).ok_or_else(|| {
             let known: Vec<&str> = WORKLOADS.iter().map(|w| w.name).collect();
@@ -135,9 +137,6 @@ impl ProgramDb {
             .verify_fns(w.functions.iter().copied());
         if let Some(n) = workers {
             builder = builder.workers(n);
-        }
-        if let Some(n) = branch_parallelism {
-            builder = builder.branch_parallelism(n);
         }
         let session = builder.build().map_err(|e| e.to_string())?;
         let side_ctx = (w.specs)(&session.verifier().types, mode);
@@ -231,7 +230,7 @@ mod tests {
 
     #[test]
     fn chain_verifies_in_fc_mode() {
-        let db = ProgramDb::load("chain", None, Some(1), Some(1)).unwrap();
+        let db = ProgramDb::load("chain", None, Some(1), None).unwrap();
         let report = db.session.verify_all();
         assert!(report.all_verified(), "{}", report.render_text());
         assert_eq!(report.cases.len(), 3);

@@ -207,7 +207,7 @@ fn lint_command(args: &[String]) {
     let mut errors = 0usize;
     let mut warnings = 0usize;
     for name in selected {
-        let db = match ProgramDb::load(name, mode, Some(1), Some(1)) {
+        let db = match ProgramDb::load(name, mode, Some(1), None) {
             Ok(db) => db,
             Err(e) => die(&e),
         };
@@ -300,7 +300,7 @@ fn analyze_command(args: &[String]) {
     };
 
     for name in selected {
-        let db = match ProgramDb::load(name, mode, Some(1), Some(1)) {
+        let db = match ProgramDb::load(name, mode, Some(1), None) {
             Ok(db) => db,
             Err(e) => die(&e),
         };

@@ -13,6 +13,11 @@
 //! {"id":6,"cmd":"stats"}
 //! {"id":7,"cmd":"shutdown"}
 //! ```
+//!
+//! Keys a request does not name are ignored. Older clients also send
+//! `load` a branch width; it is ignored like any other unknown key, because
+//! every proof obligation is explored by one serial depth-first driver and
+//! `workers` is the only parallelism a session has.
 
 use crate::json::{parse, Value};
 
@@ -23,7 +28,6 @@ pub enum Request {
         workload: String,
         mode: Option<String>,
         workers: Option<usize>,
-        branch_parallelism: Option<usize>,
     },
     Verify {
         targets: Option<Vec<String>>,
@@ -88,7 +92,6 @@ fn decode(value: &Value) -> Result<Request, String> {
             workload: required_str(value, "workload")?,
             mode: optional_str(value, "mode")?,
             workers: optional_usize(value, "workers")?,
-            branch_parallelism: optional_usize(value, "branch_parallelism")?,
         }),
         "verify" => {
             let targets = match value.get("targets") {
@@ -200,7 +203,19 @@ mod tests {
                 workload: "chain".to_string(),
                 mode: Some("fc".to_string()),
                 workers: Some(2),
-                branch_parallelism: None,
+            }
+        );
+    }
+
+    #[test]
+    fn load_ignores_keys_it_does_not_name() {
+        let env = parse_request(r#"{"cmd":"load","workload":"chain","colour":"blue","n":[1]}"#);
+        assert_eq!(
+            env.request.unwrap(),
+            Request::Load {
+                workload: "chain".to_string(),
+                mode: None,
+                workers: None,
             }
         );
     }

@@ -16,7 +16,7 @@ use crate::db::{mode_label, parse_mode, workload, ProgramDb};
 use crate::depgraph::{DepKey, DepTracker};
 use crate::json::Value;
 use crate::protocol::{parse_request, Request};
-use creusot_lite::{elaborate, parse_term};
+use creusot_lite::{elaborate, parse_term, quote_clause};
 use driver::{CaseOutcome, SolverStats, Target};
 use gillian_engine::gil::DepKind;
 use gillian_lint::{LintDiagnostic, Severity};
@@ -174,8 +174,7 @@ impl ServerCore {
                 workload,
                 mode,
                 workers,
-                branch_parallelism,
-            } => self.do_load(&workload, mode.as_deref(), workers, branch_parallelism),
+            } => self.do_load(&workload, mode.as_deref(), workers),
             Request::Verify {
                 targets,
                 force,
@@ -213,7 +212,6 @@ impl ServerCore {
         name: &str,
         mode: Option<&str>,
         workers: Option<usize>,
-        branch_parallelism: Option<usize>,
     ) -> Result<Vec<(String, Value)>, DispatchError> {
         let mode = match mode {
             None => None,
@@ -227,11 +225,11 @@ impl ServerCore {
         let key = format!("{}:{}", w.name, mode_label(mode));
 
         // Re-loading a resident pair switches back to the warm session; the
-        // workers/branch_parallelism of the original load stay in effect.
+        // worker count of the original load stays in effect.
         let reused = self.sessions.contains_key(&key);
         let mut hydrated: Vec<String> = Vec::new();
         if !reused {
-            let db = ProgramDb::load(name, Some(mode), workers, branch_parallelism)?;
+            let db = ProgramDb::load(name, Some(mode), workers, None)?;
             let mut tracker = DepTracker::new(db.session.targets().iter().map(|t| t.name.clone()));
             let mut disk = RunCounters::default();
             if let Some(store) = &self.store {
@@ -668,23 +666,6 @@ impl ServerCore {
     }
 }
 
-/// How many bytes of a rejected clause an error message quotes.
-const QUOTED_CLAUSE_BYTES: usize = 64;
-
-/// Quotes a clause for an error message. A clause longer than
-/// [`QUOTED_CLAUSE_BYTES`] is cut on a char boundary and its full length
-/// given, so a huge rejected clause does not come back in the response.
-fn quote_clause(src: &str) -> String {
-    if src.len() <= QUOTED_CLAUSE_BYTES {
-        return format!("`{src}`");
-    }
-    let mut end = QUOTED_CLAUSE_BYTES;
-    while !src.is_char_boundary(end) {
-        end -= 1;
-    }
-    format!("`{}…` ({} bytes)", &src[..end], src.len())
-}
-
 /// Writes `target`'s tracked outcome to `store` if it is verified — only
 /// verified outcomes persist: failures are always re-proved, so their
 /// diagnostics are always fresh. The record carries the read-set
@@ -1006,9 +987,7 @@ mod tests {
     #[test]
     fn load_verify_and_warm_cache() {
         let mut core = ServerCore::new();
-        let v = ok(&core.handle_line(
-            r#"{"id":1,"cmd":"load","workload":"chain","workers":1,"branch_parallelism":1}"#,
-        ));
+        let v = ok(&core.handle_line(r#"{"id":1,"cmd":"load","workload":"chain","workers":1}"#));
         assert_eq!(names(&v, "targets"), vec!["base", "inc", "inc2"]);
 
         let v = ok(&core.handle_line(r#"{"id":2,"cmd":"verify"}"#));
@@ -1034,9 +1013,7 @@ mod tests {
     #[test]
     fn update_spec_dirties_exactly_the_cone() {
         let mut core = ServerCore::new();
-        ok(&core.handle_line(
-            r#"{"id":1,"cmd":"load","workload":"chain","workers":1,"branch_parallelism":1}"#,
-        ));
+        ok(&core.handle_line(r#"{"id":1,"cmd":"load","workload":"chain","workers":1}"#));
         ok(&core.handle_line(r#"{"id":2,"cmd":"verify"}"#));
 
         // Tighten inc's precondition: inc itself and its spec-caller inc2
@@ -1063,9 +1040,7 @@ mod tests {
     #[test]
     fn update_spec_can_break_and_fix_a_proof() {
         let mut core = ServerCore::new();
-        ok(&core.handle_line(
-            r#"{"id":1,"cmd":"load","workload":"chain","workers":1,"branch_parallelism":1}"#,
-        ));
+        ok(&core.handle_line(r#"{"id":1,"cmd":"load","workload":"chain","workers":1}"#));
         ok(&core.handle_line(r#"{"id":2,"cmd":"verify"}"#));
 
         // A wrong postcondition for inc: inc's own proof fails, and inc2's
@@ -1089,9 +1064,7 @@ mod tests {
     #[test]
     fn update_fn_dirties_only_the_function() {
         let mut core = ServerCore::new();
-        ok(&core.handle_line(
-            r#"{"id":1,"cmd":"load","workload":"chain","workers":1,"branch_parallelism":1}"#,
-        ));
+        ok(&core.handle_line(r#"{"id":1,"cmd":"load","workload":"chain","workers":1}"#));
         ok(&core.handle_line(r#"{"id":2,"cmd":"verify"}"#));
 
         // inc2 is verified against inc's SPEC, not its body, so touching
@@ -1138,20 +1111,19 @@ mod tests {
             "{resp}"
         );
 
-        ok(&core.handle_line(
-            r#"{"id":2,"cmd":"load","workload":"chain","workers":1,"branch_parallelism":1}"#,
-        ));
+        ok(&core.handle_line(r#"{"id":2,"cmd":"load","workload":"chain","workers":1}"#));
         let v = ok(&core.handle_line(r#"{"id":3,"cmd":"verify"}"#));
         assert_eq!(v.get("all_verified").and_then(Value::as_bool), Some(true));
     }
 
     /// Sends `inc` an `update_spec` whose clauses nest too deeply, expects
     /// it to be rejected, and checks that `inc` keeps the spec it had.
-    fn too_deep_update_spec_keeps_the_old_spec(requires: &str, ensures: &str) {
+    /// Sends an `update_spec` for `inc` that must be rejected with an error
+    /// containing `expected`, answered on a line under 1 KB, and checks
+    /// that `inc` keeps its old spec.
+    fn rejected_update_spec_keeps_the_old_spec(requires: &str, ensures: &str, expected: &str) {
         let mut core = ServerCore::new();
-        ok(&core.handle_line(
-            r#"{"id":1,"cmd":"load","workload":"chain","workers":1,"branch_parallelism":1}"#,
-        ));
+        ok(&core.handle_line(r#"{"id":1,"cmd":"load","workload":"chain","workers":1}"#));
         let spec = r#""fn":"inc","requires":["x@ < 2000"],"ensures":["result@ == x@ + 1"]"#;
         ok(&core.handle_line(&format!(r#"{{"id":2,"cmd":"update_spec",{spec}}}"#)));
         ok(&core.handle_line(r#"{"id":3,"cmd":"verify"}"#));
@@ -1162,7 +1134,7 @@ mod tests {
         let v = parse(&resp).unwrap();
         assert_eq!(v.get("ok").and_then(Value::as_bool), Some(false));
         let error = v.get("error").and_then(Value::as_str).unwrap();
-        assert!(error.contains("nests deeper"), "{error}");
+        assert!(error.contains(expected), "{error}");
         // The error quotes a bounded prefix of the clause, not all of it.
         assert!(resp.len() < 1024, "{} byte response: {error}", resp.len());
 
@@ -1188,7 +1160,11 @@ mod tests {
     #[test]
     fn deeply_nested_update_spec_term_is_rejected_and_keeps_the_old_spec() {
         let deep = "(".repeat(10_000) + "x@" + &")".repeat(10_000);
-        too_deep_update_spec_keeps_the_old_spec(&format!("{deep} < 1000"), "result@ == x@ + 1");
+        rejected_update_spec_keeps_the_old_spec(
+            &format!("{deep} < 1000"),
+            "result@ == x@ + 1",
+            "nests deeper",
+        );
     }
 
     #[test]
@@ -1196,15 +1172,37 @@ mod tests {
         // No parentheses: a 100,000-term sum is a left-deep tree as tall as
         // it is long, so the cap on the tree's height rejects it.
         let chain = vec!["x@"; 100_000].join(" + ");
-        too_deep_update_spec_keeps_the_old_spec("x@ < 2000", &format!("result@ == {chain}"));
+        rejected_update_spec_keeps_the_old_spec(
+            "x@ < 2000",
+            &format!("result@ == {chain}"),
+            "nests deeper",
+        );
+    }
+
+    // A token is quoted in a bounded error too, however long it is.
+
+    #[test]
+    fn huge_integer_literal_update_spec_is_rejected_and_keeps_the_old_spec() {
+        let nines = format!("x@ < {}", "9".repeat(100_000));
+        rejected_update_spec_keeps_the_old_spec(&nines, "result@ == x@ + 1", "out of range");
+    }
+
+    #[test]
+    fn huge_usize_item_update_spec_is_rejected_and_keeps_the_old_spec() {
+        let item = format!("x@ < usize::{}", "m".repeat(100_000));
+        rejected_update_spec_keeps_the_old_spec(&item, "result@ == x@ + 1", "unknown usize item");
+    }
+
+    #[test]
+    fn huge_method_name_update_spec_is_rejected_and_keeps_the_old_spec() {
+        let method = format!("x@.{}() < 2000", "m".repeat(100_000));
+        rejected_update_spec_keeps_the_old_spec(&method, "result@ == x@ + 1", "unknown method");
     }
 
     #[test]
     fn update_spec_with_unsat_pre_is_rejected_and_dirties_nothing() {
         let mut core = ServerCore::new();
-        ok(&core.handle_line(
-            r#"{"id":1,"cmd":"load","workload":"chain","workers":1,"branch_parallelism":1}"#,
-        ));
+        ok(&core.handle_line(r#"{"id":1,"cmd":"load","workload":"chain","workers":1}"#));
         ok(&core.handle_line(r#"{"id":2,"cmd":"verify"}"#));
 
         // `x@ < 5` and `5 < x@` cannot both hold: the vacuity pass refutes
@@ -1236,9 +1234,7 @@ mod tests {
     #[test]
     fn warn_only_update_spec_passes_with_lints_on_the_wire() {
         let mut core = ServerCore::new();
-        ok(&core.handle_line(
-            r#"{"id":1,"cmd":"load","workload":"chain","workers":1,"branch_parallelism":1}"#,
-        ));
+        ok(&core.handle_line(r#"{"id":1,"cmd":"load","workload":"chain","workers":1}"#));
         ok(&core.handle_line(r#"{"id":2,"cmd":"verify"}"#));
 
         // `y@` names no parameter: `#y_repr` appears exactly once in the
@@ -1271,9 +1267,7 @@ mod tests {
         let v = parse(&core.handle_line(r#"{"id":1,"cmd":"lint"}"#)).unwrap();
         assert_eq!(v.get("ok").and_then(Value::as_bool), Some(false));
 
-        ok(&core.handle_line(
-            r#"{"id":2,"cmd":"load","workload":"chain","workers":1,"branch_parallelism":1}"#,
-        ));
+        ok(&core.handle_line(r#"{"id":2,"cmd":"load","workload":"chain","workers":1}"#));
         let v = ok(&core.handle_line(r#"{"id":3,"cmd":"lint"}"#));
         assert_eq!(v.get("clean").and_then(Value::as_bool), Some(true));
         assert_eq!(v.get("errors").and_then(Value::as_i64), Some(0));
@@ -1324,9 +1318,7 @@ mod tests {
 
         // First daemon lifetime: everything is proved cold and written back.
         let mut core = ServerCore::with_store(Arc::clone(&store));
-        let v = ok(&core.handle_line(
-            r#"{"id":1,"cmd":"load","workload":"chain","workers":1,"branch_parallelism":1}"#,
-        ));
+        let v = ok(&core.handle_line(r#"{"id":1,"cmd":"load","workload":"chain","workers":1}"#));
         assert!(names(&v, "hydrated").is_empty());
         let v = ok(&core.handle_line(r#"{"id":2,"cmd":"verify"}"#));
         assert_eq!(names(&v, "reverified"), vec!["base", "inc", "inc2"]);
@@ -1353,9 +1345,7 @@ mod tests {
         // tracker, and the first verify answers everything warm — the
         // restart-resilience contract of the persistent cache.
         let mut core = ServerCore::with_store(Arc::clone(&store));
-        let v = ok(&core.handle_line(
-            r#"{"id":1,"cmd":"load","workload":"chain","workers":1,"branch_parallelism":1}"#,
-        ));
+        let v = ok(&core.handle_line(r#"{"id":1,"cmd":"load","workload":"chain","workers":1}"#));
         assert_eq!(names(&v, "hydrated"), vec!["base", "inc", "inc2"]);
         assert_eq!(read_sets(&core), cold);
         let v = ok(&core.handle_line(r#"{"id":2,"cmd":"verify"}"#));
@@ -1376,18 +1366,14 @@ mod tests {
     fn hydrated_sessions_keep_exact_cone_invalidation() {
         let store: Arc<dyn CacheStore> = Arc::new(proof_cache::MemStore::new());
         let mut core = ServerCore::with_store(Arc::clone(&store));
-        ok(&core.handle_line(
-            r#"{"id":1,"cmd":"load","workload":"chain","workers":1,"branch_parallelism":1}"#,
-        ));
+        ok(&core.handle_line(r#"{"id":1,"cmd":"load","workload":"chain","workers":1}"#));
         ok(&core.handle_line(r#"{"id":2,"cmd":"verify"}"#));
         ok(&core.handle_line(r#"{"id":3,"cmd":"shutdown"}"#));
 
         // Restart, hydrate, then edit inc's spec: the hydrated read-sets
         // must dirty exactly the reverse-dependency cone {inc, inc2}.
         let mut core = ServerCore::with_store(Arc::clone(&store));
-        let v = ok(&core.handle_line(
-            r#"{"id":1,"cmd":"load","workload":"chain","workers":1,"branch_parallelism":1}"#,
-        ));
+        let v = ok(&core.handle_line(r#"{"id":1,"cmd":"load","workload":"chain","workers":1}"#));
         assert_eq!(names(&v, "hydrated"), vec!["base", "inc", "inc2"]);
         let v = ok(&core.handle_line(
             r#"{"id":2,"cmd":"update_spec","fn":"inc","requires":["x@ < 2000"],"ensures":["result@ == x@ + 1"]}"#,
@@ -1407,9 +1393,7 @@ mod tests {
         // spec and editing it back never loses warm state.
         ok(&core.handle_line(r#"{"id":4,"cmd":"shutdown"}"#));
         let mut core = ServerCore::with_store(Arc::clone(&store));
-        let v = ok(&core.handle_line(
-            r#"{"id":1,"cmd":"load","workload":"chain","workers":1,"branch_parallelism":1}"#,
-        ));
+        let v = ok(&core.handle_line(r#"{"id":1,"cmd":"load","workload":"chain","workers":1}"#));
         assert_eq!(names(&v, "hydrated"), vec!["base", "inc", "inc2"]);
     }
 }

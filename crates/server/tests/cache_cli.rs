@@ -75,7 +75,7 @@ fn field(stats: &str, label: &str) -> String {
 #[test]
 fn serve_persists_across_restarts_and_cache_subcommand_maintains_the_store() {
     let dir = tempdir("roundtrip");
-    let load = r#"{"id":1,"cmd":"load","workload":"chain","workers":1,"branch_parallelism":1}"#;
+    let load = r#"{"id":1,"cmd":"load","workload":"chain","workers":1}"#;
     let verify = r#"{"id":2,"cmd":"verify"}"#;
     let shutdown = r#"{"id":3,"cmd":"shutdown"}"#;
 

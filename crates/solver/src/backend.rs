@@ -611,7 +611,7 @@ impl SolverBackend for IncrementalStateBackend {
 /// the same (assertion set, goal) park here instead of re-running the
 /// kernel, so each distinct query costs exactly one kernel exploration
 /// whatever the thread count — this is what keeps the `cases_explored`
-/// counter deterministic at 1 vs N workers (obligation- or branch-level).
+/// counter deterministic at 1 vs N obligation workers.
 ///
 /// Waits cannot deadlock: a computation only ever waits (through its
 /// decomposition sub-queries) on entries whose key is a superset of its

@@ -27,8 +27,8 @@
 //! By default the bridge runs **one process per concurrently-solving
 //! worker**: each solve checks a process out of an idle pool (preferring the
 //! one whose mirrored stack shares the longest scope prefix with the query)
-//! or spawns a fresh one seeded with the shared prelude, so branch workers
-//! never serialise on a hub mutex. The naming tables (constructor tags,
+//! or spawns a fresh one seeded with the shared prelude, so obligation
+//! workers never serialise on a hub mutex. The naming tables (constructor tags,
 //! opaque constants) stay shared — locked only while rendering — so names
 //! are stable across every process. `GILLIAN_SMT_SINGLE=1` (or
 //! `SmtOptions::per_worker = false`) restores the pre-pool fallback: one
@@ -722,10 +722,10 @@ impl SpawnHealth {
 ///
 /// In **per-worker** mode (the default) each solve checks a process out of
 /// an idle pool — or spawns a fresh one seeded with the shared prelude —
-/// so concurrent branch workers never serialise on a hub mutex; the naming
-/// tables (constructor tags, opaque constants) stay shared and are locked
-/// only for the microseconds of rendering, keeping names stable across
-/// every process. Idle processes are checked out by longest shared scope
+/// so concurrent obligation workers never serialise on a hub mutex; the
+/// naming tables (constructor tags, opaque constants) stay shared and are
+/// locked only for the microseconds of rendering, keeping names stable
+/// across every process. Idle processes are checked out by longest shared scope
 /// prefix, so a worker usually gets a process already synced to most of its
 /// branch. In **single** mode (`GILLIAN_SMT_SINGLE=1`, or
 /// `SmtOptions::per_worker = false`) the pre-pool behaviour is kept: one

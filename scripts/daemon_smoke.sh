@@ -36,7 +36,7 @@ if [[ ! -x "$BIN" ]]; then
 fi
 
 OUT="$(printf '%s\n' \
-    '{"id":1,"cmd":"load","workload":"chain","workers":1,"branch_parallelism":1}' \
+    '{"id":1,"cmd":"load","workload":"chain","workers":1}' \
     '{"id":2,"cmd":"verify"}' \
     '{"id":3,"cmd":"verify"}' \
     '{"id":4,"cmd":"update_spec","fn":"inc","requires":["x@ < 2000"],"ensures":["result@ == x@ + 1"]}' \
@@ -84,7 +84,7 @@ line 7 | grep -q '"bye":true' || fail "shutdown acknowledged"
 # with its findings on the wire.
 
 LINT_OUT="$(printf '%s\n' \
-    '{"id":1,"cmd":"load","workload":"chain","workers":1,"branch_parallelism":1}' \
+    '{"id":1,"cmd":"load","workload":"chain","workers":1}' \
     '{"id":2,"cmd":"verify"}' \
     '{"id":3,"cmd":"update_spec","fn":"inc","requires":["x@ < 5","5 < x@"],"ensures":["result@ == x@ + 1"]}' \
     '{"id":4,"cmd":"verify"}' \
@@ -124,7 +124,7 @@ lline 7 | grep -q '"bye":true' || fail "lint leg: shutdown acknowledged"
 
 CHAIN="$(printf 'x@ + %.0s' $(seq 1 99999))x@"
 CHAIN_OUT="$(printf '%s\n' \
-    '{"id":1,"cmd":"load","workload":"chain","workers":1,"branch_parallelism":1}' \
+    '{"id":1,"cmd":"load","workload":"chain","workers":1}' \
     '{"id":2,"cmd":"update_spec","fn":"inc","requires":["x@ < 2000"],"ensures":["result@ == '"$CHAIN"'"]}' \
     '{"id":3,"cmd":"verify"}' \
     '{"id":4,"cmd":"shutdown"}' \
@@ -148,7 +148,7 @@ CACHE_DIR="$(mktemp -d "${TMPDIR:-/tmp}/gillian-smoke-cache.XXXXXX")"
 trap 'rm -rf "$CACHE_DIR"' EXIT
 
 REQS="$(printf '%s\n' \
-    '{"id":1,"cmd":"load","workload":"chain","workers":1,"branch_parallelism":1}' \
+    '{"id":1,"cmd":"load","workload":"chain","workers":1}' \
     '{"id":2,"cmd":"verify"}' \
     '{"id":3,"cmd":"shutdown"}')"
 
@@ -190,7 +190,7 @@ SERVE_PID=$!
 exec 3>"$FIFO"   # hold the write end open so the daemon keeps serving
 
 printf '%s\n' \
-    '{"id":1,"cmd":"load","workload":"chain","workers":1,"branch_parallelism":1}' \
+    '{"id":1,"cmd":"load","workload":"chain","workers":1}' \
     '{"id":2,"cmd":"verify"}' >&3
 
 # Wait until both responses are on disk, then pull the rug.

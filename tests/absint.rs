@@ -215,7 +215,7 @@ fn clean_sweep_table1_has_no_gl05x() {
 fn clean_sweep_daemon_workloads_have_no_gl05x() {
     for w in WORKLOADS {
         for mode in [SpecMode::TypeSafety, SpecMode::FunctionalCorrectness] {
-            let db = ProgramDb::load(w.name, Some(mode), Some(1), Some(1)).expect("load");
+            let db = ProgramDb::load(w.name, Some(mode), Some(1), None).expect("load");
             let label = format!("{} ({:?})", w.name, mode);
             assert_no_gl05(&lint_session(&db.session), &label);
         }
@@ -228,8 +228,8 @@ fn clean_sweep_daemon_workloads_have_no_gl05x() {
 
 /// Runs the full Table 1 suite with the static-pruning oracle toggled,
 /// returning each row plus its per-session solver statistics.
-fn run_table1_prune(branch_parallelism: usize, prune: bool) -> Vec<(Table1Row, SolverStats)> {
-    table1_cases_with_prune(1, branch_parallelism, prune)
+fn run_table1_prune(prune: bool) -> Vec<(Table1Row, SolverStats)> {
+    table1_cases_with_prune(1, prune)
         .into_iter()
         .map(|case| {
             let (name, property, aloc) = (case.name, case.property, case.aloc);
@@ -274,49 +274,27 @@ fn assert_rows_identical(a: &[(Table1Row, SolverStats)], b: &[(Table1Row, Solver
     }
 }
 
-/// The acceptance matrix: static pruning on/off at branch widths 1 and 4.
-/// Pruning never changes a verdict or a diagnostic, never *adds* solver
-/// work, strictly removes work on at least one LinkedList proof, and its
-/// counters are live exactly when the oracle is on.
+/// The acceptance matrix: static pruning on and off. Pruning never changes
+/// a verdict or a diagnostic, never *adds* solver work, strictly removes
+/// work on at least one LinkedList proof, and its counters are live exactly
+/// when the oracle is on.
 #[test]
 fn table1_pruning_is_verdict_preserving_and_work_reducing() {
-    let on1 = run_table1_prune(1, true);
-    let off1 = run_table1_prune(1, false);
-    let on4 = run_table1_prune(4, true);
-    let off4 = run_table1_prune(4, false);
+    let on = run_table1_prune(true);
+    let off = run_table1_prune(false);
 
-    // Verdicts and diagnostics: identical across the whole matrix.
-    assert_rows_identical(&on1, &off1);
-    assert_rows_identical(&on4, &off4);
-    assert_rows_identical(&on1, &on4);
+    // Verdicts and diagnostics: identical with and without pruning.
+    assert_rows_identical(&on, &off);
 
     // Every row still verifies.
-    for (row, _) in &on1 {
+    for (row, _) in &on {
         assert!(row.all_verified, "row {} ({})", row.name, row.property);
-    }
-
-    // Leaf-case counts are branch-width-invariant with pruning off (the
-    // original branch_parallel identity) *and* with pruning on (the oracle
-    // consults only per-command invariants, never scheduler state).
-    for ((ra, sa), (_, sb)) in off1.iter().zip(off4.iter()) {
-        assert_eq!(
-            sa.cases_explored, sb.cases_explored,
-            "prune-off leaf cases of row {} ({})",
-            ra.name, ra.property
-        );
-    }
-    for ((ra, sa), (_, sb)) in on1.iter().zip(on4.iter()) {
-        assert_eq!(
-            sa.cases_explored, sb.cases_explored,
-            "pruned leaf cases of row {} ({})",
-            ra.name, ra.property
-        );
     }
 
     // Pruning only ever removes work, and the counters prove the oracle ran.
     let mut oracle_active = false;
     let mut any_strict = false;
-    for ((ra, s_on), (_, s_off)) in on1.iter().zip(off1.iter()) {
+    for ((ra, s_on), (_, s_off)) in on.iter().zip(off.iter()) {
         assert!(
             s_on.cases_explored <= s_off.cases_explored,
             "pruning added work on row {} ({}): {} > {}",
@@ -394,8 +372,8 @@ fn full_linked_list_pruning_strictly_reduces_leaf_cases() {
 #[test]
 fn session_invariants_are_stable_across_rebuilds() {
     let fp = |db: &ProgramDb| db.session.invariants().fingerprint;
-    let a = ProgramDb::load("linked_list", None, Some(1), Some(1)).expect("load");
-    let b = ProgramDb::load("linked_list", None, Some(1), Some(1)).expect("load");
+    let a = ProgramDb::load("linked_list", None, Some(1), None).expect("load");
+    let b = ProgramDb::load("linked_list", None, Some(1), None).expect("load");
     assert_eq!(fp(&a), fp(&b), "invariant fingerprint is not deterministic");
     assert!(
         !a.session.invariants().procs.is_empty(),

@@ -160,7 +160,7 @@ fn daemon_request_timeout_is_transient_and_restored() {
 #[cfg(feature = "faults")]
 mod injection {
     use super::*;
-    use case_studies::table1::table1_cases_with;
+    use case_studies::table1::table1_cases;
     use gillian_faults::FaultPlan;
     use std::sync::Arc;
 
@@ -184,7 +184,7 @@ mod injection {
 
     /// (name, verified) per case of one full Table 1 run.
     fn run_table1() -> Vec<RowOutcome> {
-        table1_cases_with(1, 1)
+        table1_cases(1)
             .into_iter()
             .map(|case| {
                 let name = case.name.to_string();

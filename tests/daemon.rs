@@ -58,6 +58,20 @@ fn canon_cases(v: &Value) -> Vec<(String, bool, Option<String>)> {
         .collect()
 }
 
+/// A verify response's `solver_delta` counters, without `kernel_nanos`,
+/// which measures wall time inside the kernel and differs between runs of
+/// the same work.
+fn solver_work(v: &Value) -> Vec<(String, i64)> {
+    match v.get("solver_delta") {
+        Some(Value::Object(fields)) => fields
+            .iter()
+            .filter(|(k, _)| k != "kernel_nanos")
+            .map(|(k, val)| (k.clone(), val.as_i64().unwrap()))
+            .collect(),
+        _ => panic!("verify response carries solver_delta"),
+    }
+}
+
 fn load_line(workload: &str, mode: &str) -> String {
     format!(r#"{{"cmd":"load","workload":"{workload}","mode":"{mode}"}}"#)
 }
@@ -162,6 +176,28 @@ fn table1_through_one_daemon_is_warm_and_matches_fresh_batches() {
     }
 }
 
+/// `load` ignores the `branch_parallelism` key that older clients send: a
+/// load carrying it is accepted and verifies exactly like one without it,
+/// with the same verdicts, diagnostics and solver work.
+#[test]
+fn load_ignores_a_branch_parallelism_key() {
+    let verify = |load: &str| {
+        let mut core = ServerCore::new();
+        ok(&core.handle_line(load));
+        let v = ok(&core.handle_line(r#"{"cmd":"verify"}"#));
+        (canon_cases(&v), solver_work(&v))
+    };
+    let plain = verify(r#"{"cmd":"load","workload":"linked_list","mode":"fc","workers":1}"#);
+    let keyed = verify(
+        r#"{"cmd":"load","workload":"linked_list","mode":"fc","workers":1,"branch_parallelism":4}"#,
+    );
+    assert!(
+        plain.0.iter().all(|(_, verified, _)| *verified),
+        "{plain:?}"
+    );
+    assert_eq!(keyed, plain);
+}
+
 /// Satellite: per-request solver deltas. After a warm-up pass saturates the
 /// canonical query cache, two identical forced verifies do identical solver
 /// work — every delta counter matches except `kernel_nanos`, which measures
@@ -169,21 +205,10 @@ fn table1_through_one_daemon_is_warm_and_matches_fresh_batches() {
 #[test]
 fn identical_requests_report_identical_solver_deltas() {
     let mut core = ServerCore::new();
-    ok(&core
-        .handle_line(r#"{"cmd":"load","workload":"chain","workers":1,"branch_parallelism":1}"#));
+    ok(&core.handle_line(r#"{"cmd":"load","workload":"chain","workers":1}"#));
     ok(&core.handle_line(r#"{"cmd":"verify"}"#));
 
-    let delta = |resp: &str| -> Vec<(String, i64)> {
-        let v = ok(resp);
-        match v.get("solver_delta") {
-            Some(Value::Object(fields)) => fields
-                .iter()
-                .filter(|(k, _)| k != "kernel_nanos")
-                .map(|(k, val)| (k.clone(), val.as_i64().unwrap()))
-                .collect(),
-            _ => panic!("verify response carries solver_delta"),
-        }
-    };
+    let delta = |resp: &str| solver_work(&ok(resp));
 
     let first = delta(&core.handle_line(r#"{"cmd":"verify","force":true}"#));
     let second = delta(&core.handle_line(r#"{"cmd":"verify","force":true}"#));

@@ -174,6 +174,40 @@ fn table1_parallel_batch_matches_serial_rows() {
     }
 }
 
+/// Table 1 at 1 and 4 obligation workers: identical verdicts, diagnostic
+/// fingerprints and kernel leaf cases, row by row. Every row owns its
+/// solver hub, and the caching backend computes each distinct query once
+/// (concurrent askers park on the in-flight entry), so the leaf-case count
+/// is exact whatever the interleaving.
+#[test]
+fn table1_is_deterministic_across_obligation_worker_counts() {
+    type Row = (String, Vec<(String, bool, Option<String>)>, u64);
+    let run = |workers: usize| -> Vec<Row> {
+        table1_cases(workers)
+            .into_iter()
+            .map(|case| {
+                let row = format!("{}/{}", case.name, case.property);
+                let report = case.session().verify_all();
+                let cases = report
+                    .cases
+                    .iter()
+                    .map(|c| {
+                        let fp = c.diagnostic().map(|d| d.fingerprint());
+                        (c.name().to_string(), c.verified(), fp)
+                    })
+                    .collect();
+                (row, cases, report.solver.cases_explored)
+            })
+            .collect()
+    };
+    let one = run(1);
+    assert_eq!(one.len(), 6);
+    for (row, cases, _) in &one {
+        assert!(cases.iter().all(|c| c.1), "row {row} verifies");
+    }
+    assert_eq!(run(4), one);
+}
+
 /// The JSON rendering of a mixed report carries the diagnostic categories.
 #[test]
 fn report_json_includes_diagnostics() {
@@ -182,6 +216,25 @@ fn report_json_includes_diagnostics() {
     assert!(json.contains("\"diagnostic\""));
     assert!(json.contains("\"category\":\"spec-mismatch\""));
     assert!(json.contains("\"all_verified\":false"));
+}
+
+/// The engine's live-branch high-water mark reaches both renderings of the
+/// report.
+#[test]
+fn max_live_branches_is_reported_in_text_and_json() {
+    let report = mixed_even_int_session(1).verify_all();
+    let live = report.stats.max_live_branches;
+    assert!(live >= 1, "at least the root branch was live");
+    let text = report.render_text();
+    assert!(
+        text.contains(&format!("{live} max live branches")),
+        "{text}"
+    );
+    let json = report.to_json();
+    assert!(
+        json.contains(&format!("\"max_live_branches\":{live}")),
+        "{json}"
+    );
 }
 
 /// Every solver backend produces the same verdicts and diagnostics on the

@@ -57,7 +57,7 @@ fn false_positive_guard_table1_lints_clean() {
 #[test]
 fn false_positive_guard_daemon_workloads_lint_clean() {
     for w in WORKLOADS {
-        let db = ProgramDb::load(w.name, None, Some(1), Some(1)).expect("load");
+        let db = ProgramDb::load(w.name, None, Some(1), None).expect("load");
         let report = lint_session(&db.session);
         assert!(
             report.is_clean(),

@@ -10,7 +10,7 @@
 //!   installed).
 //! * **Resilience** against stub "solvers" (shell scripts): a hung process
 //!   must trip the time box, fall back to the kernel's verdict, abandon its
-//!   in-flight cache entry and never deadlock parallel workers. These run
+//!   in-flight cache entry and never deadlock obligation workers. These run
 //!   everywhere — they carry their own stubs.
 
 use case_studies::table1::table1_cases;
@@ -48,39 +48,47 @@ fn write_stub(name: &str, body: &str) -> PathBuf {
     path
 }
 
-/// A tiny self-contained program (no env-dependent probing in sight): one
-/// branching function over a `usize`, specified so that verification needs
-/// both feasibility pruning and entailment.
+/// A tiny self-contained program (no env-dependent probing in sight): four
+/// branching functions over a `usize`, each clamping at its own cap and
+/// specified so that verification needs both feasibility pruning and
+/// entailment. The session proves them on four obligation workers sharing
+/// one solver hub, so their solves overlap; distinct caps keep their
+/// queries distinct.
 fn demo_session(engine: EngineOptions) -> HybridSession {
     let mut program = Program::new("smt-demo");
-    let mut b = BodyBuilder::new("clamp_add", vec![("x", Ty::usize())], Ty::usize());
-    let big = b.local("big", Ty::Bool);
-    let out = b.local("out", Ty::usize());
-    let then_blk = b.new_block();
-    let else_blk = b.new_block();
-    let join = b.new_block();
-    b.assign_binop(
-        big.clone(),
-        BinOp::Lt,
-        Operand::usize(100),
-        Operand::copy(Place::local("x")),
-    );
-    b.branch_if(Operand::copy(big), then_blk, else_blk);
-    b.switch_to(then_blk);
-    b.assign_use(out.clone(), Operand::usize(100));
-    b.goto(join);
-    b.switch_to(else_blk);
-    b.assign_binop(
-        out.clone(),
-        BinOp::Add,
-        Operand::copy(Place::local("x")),
-        Operand::usize(1),
-    );
-    b.goto(join);
-    b.switch_to(join);
-    b.ret_val(Operand::copy(out));
-    let f = b.finish();
-    program.add_fn(f.clone());
+    let mut fns = Vec::new();
+    for cap in 100..104 {
+        let name = format!("clamp_add_{cap}");
+        let mut b = BodyBuilder::new(&name, vec![("x", Ty::usize())], Ty::usize());
+        let big = b.local("big", Ty::Bool);
+        let out = b.local("out", Ty::usize());
+        let then_blk = b.new_block();
+        let else_blk = b.new_block();
+        let join = b.new_block();
+        b.assign_binop(
+            big.clone(),
+            BinOp::Lt,
+            Operand::usize(cap),
+            Operand::copy(Place::local("x")),
+        );
+        b.branch_if(Operand::copy(big), then_blk, else_blk);
+        b.switch_to(then_blk);
+        b.assign_use(out.clone(), Operand::usize(cap));
+        b.goto(join);
+        b.switch_to(else_blk);
+        b.assign_binop(
+            out.clone(),
+            BinOp::Add,
+            Operand::copy(Place::local("x")),
+            Operand::usize(1),
+        );
+        b.goto(join);
+        b.switch_to(join);
+        b.ret_val(Operand::copy(out));
+        let f = b.finish();
+        program.add_fn(f.clone());
+        fns.push((f, cap));
+    }
 
     HybridSession::builder()
         .name("smt-demo")
@@ -88,10 +96,13 @@ fn demo_session(engine: EngineOptions) -> HybridSession {
         .mode(SpecMode::FunctionalCorrectness)
         .engine_options(engine)
         .configure(move |g| {
-            let spec = g.fn_spec(&f, vec![], vec![Expr::le(lv("ret_repr"), Expr::Int(101))]);
-            g.add_spec(spec);
+            for (f, cap) in &fns {
+                let bound = Expr::Int(i128::from(*cap) + 1);
+                let spec = g.fn_spec(f, vec![], vec![Expr::le(lv("ret_repr"), bound)]);
+                g.add_spec(spec);
+            }
         })
-        .workers(1)
+        .workers(4)
         .build()
         .unwrap()
 }
@@ -210,13 +221,13 @@ fn stub_solver_drives_through_the_session_layer() {
     assert!(report.solver.smt_unsat > 0);
 }
 
-/// The ROADMAP hazard, end to end: a hung solver process under branch-level
-/// parallelism. The time box must fire on every solve, the verdicts must
-/// fall back to the kernel's (the session still verifies), and no branch
+/// The ROADMAP hazard, end to end: a hung solver process under four
+/// obligation workers. The time box must fire on every solve, the verdicts
+/// must fall back to the kernel's (the session still verifies), and no
 /// worker may deadlock on an abandoned in-flight cache entry.
 #[test]
 #[cfg(unix)]
-fn hung_solver_falls_back_without_deadlocking_branch_workers() {
+fn hung_solver_falls_back_without_deadlocking_obligation_workers() {
     let stub = write_stub(
         "session-hang.sh",
         "#!/bin/sh\nwhile read line; do :; done\n",
@@ -225,7 +236,6 @@ fn hung_solver_falls_back_without_deadlocking_branch_workers() {
         backend: BackendKind::SmtLib,
         smt_command: Some(vec![stub.to_string_lossy().into_owned()]),
         smt_timeout_ms: 200,
-        branch_parallelism: 4,
         ..EngineOptions::default()
     });
     let (tx, rx) = mpsc::channel();
@@ -303,7 +313,8 @@ fn per_worker_solves_use_multiple_processes() {
 }
 
 /// The single-process fallback stays selectable and fully functional: with
-/// `smt_per_worker: false` the session still verifies through the stub.
+/// `smt_per_worker: false` the four obligation workers share one process,
+/// and the session still verifies through the stub.
 #[test]
 #[cfg(unix)]
 fn single_process_fallback_still_works() {
@@ -315,7 +326,6 @@ fn single_process_fallback_still_works() {
         backend: BackendKind::SmtLib,
         smt_command: Some(vec![stub.to_string_lossy().into_owned()]),
         smt_per_worker: false,
-        branch_parallelism: 4,
         ..EngineOptions::default()
     })
     .verify_all();
@@ -324,27 +334,24 @@ fn single_process_fallback_still_works() {
 }
 
 /// With a real solver: verdict agreement must hold with per-worker
-/// processes enabled under branch-level parallelism (the configuration the
+/// processes enabled under four obligation workers (the configuration the
 /// CI z3 job pins).
 #[test]
-fn real_solver_agrees_with_per_worker_processes_at_branch_parallelism_4() {
-    if solver_or_skip("real_solver_agrees_with_per_worker_processes_at_branch_parallelism_4")
-        .is_none()
-    {
+fn real_solver_agrees_with_per_worker_processes_at_4_workers() {
+    if solver_or_skip("real_solver_agrees_with_per_worker_processes_at_4_workers").is_none() {
         return;
     }
     let reference = demo_session(EngineOptions::default()).verify_all();
     let smt = demo_session(EngineOptions {
         backend: BackendKind::SmtLib,
         smt_per_worker: true,
-        branch_parallelism: 4,
         ..EngineOptions::default()
     })
     .verify_all();
     assert_eq!(
         reference.all_verified(),
         smt.all_verified(),
-        "per-worker smtlib at bp=4 disagrees:\n{}",
+        "per-worker smtlib at 4 workers disagrees:\n{}",
         smt.render_text()
     );
     for (a, b) in reference.cases.iter().zip(smt.cases.iter()) {

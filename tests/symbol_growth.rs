@@ -16,8 +16,7 @@ use gillian_solver::Symbol;
 fn verify_fresh_session() {
     let session =
         linked_list::session_for(SpecMode::FunctionalCorrectness, linked_list::FUNCTIONS_FULL)
-            .with_workers(1)
-            .with_branch_parallelism(1);
+            .with_workers(1);
     let report = session.verify_all();
     assert!(
         report.cases.iter().all(|c| c.verified()),
