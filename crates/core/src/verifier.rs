@@ -297,7 +297,7 @@ impl Verifier {
         self.engine.stats()
     }
 
-    /// Solver statistics (per-backend query/hit counts).
+    /// Solver statistics (per-backend query and work counts).
     pub fn solver_stats(&self) -> SolverStats {
         self.engine.solver.stats()
     }
@@ -307,8 +307,8 @@ impl Verifier {
         self.engine.solver.backend_kind()
     }
 
-    /// Re-runs the verifier on another solver backend: fresh arena, cache
-    /// and statistics, same compiled program and specifications. Used by the
+    /// Re-runs the verifier on another solver backend: fresh arena and
+    /// statistics, same compiled program and specifications. Used by the
     /// solver ablation harness.
     pub fn set_backend(&mut self, kind: BackendKind) {
         self.engine.set_backend(kind);

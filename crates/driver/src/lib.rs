@@ -289,7 +289,7 @@ impl VerificationReport {
             String::new()
         };
         let mut out = format!(
-            "== {} ({mode}) — {}/{} verified, wall {:.3}s, cpu {:.3}s, {} worker(s), {} max live branches, solver {} ({} queries, {} cache hits, {} incremental hits, kernel {:.3}s{smt}{disk}{absint}) ==\n",
+            "== {} ({mode}) — {}/{} verified, wall {:.3}s, cpu {:.3}s, {} worker(s), {} max live branches, solver {} ({} queries, {} incremental hits, kernel {:.3}s{smt}{disk}{absint}) ==\n",
             self.session,
             self.verified_count(),
             self.cases.len(),
@@ -299,7 +299,6 @@ impl VerificationReport {
             self.stats.max_live_branches,
             self.backend,
             self.solver.queries(),
-            self.solver.cache_hits,
             self.solver.incremental_hits,
             self.solver.kernel_nanos as f64 / 1e9,
         );
@@ -344,11 +343,10 @@ impl VerificationReport {
         ));
         out.push_str(&format!("\"backend\":\"{}\",", self.backend));
         out.push_str(&format!(
-            "\"solver\":{{\"unsat_queries\":{},\"entailment_queries\":{},\"cases_explored\":{},\"cache_hits\":{},\"incremental_hits\":{},\"kernel_nanos\":{},\"smt_queries\":{},\"smt_unsat\":{},\"smt_failures\":{},\"smt_reenabled\":{},\"disk_cache_hits\":{},\"disk_cache_misses\":{},\"disk_cache_writes\":{},\"branches_pruned_static\":{},\"absint_facts_seeded\":{}}},",
+            "\"solver\":{{\"unsat_queries\":{},\"entailment_queries\":{},\"cases_explored\":{},\"incremental_hits\":{},\"kernel_nanos\":{},\"smt_queries\":{},\"smt_unsat\":{},\"smt_failures\":{},\"smt_reenabled\":{},\"disk_cache_hits\":{},\"disk_cache_misses\":{},\"disk_cache_writes\":{},\"branches_pruned_static\":{},\"absint_facts_seeded\":{}}},",
             self.solver.unsat_queries,
             self.solver.entailment_queries,
             self.solver.cases_explored,
-            self.solver.cache_hits,
             self.solver.incremental_hits,
             self.solver.kernel_nanos,
             self.solver.smt_queries,
@@ -539,9 +537,9 @@ impl SessionBuilder {
     }
 
     /// Selects the solver backend answering the session's pure queries
-    /// (defaults to [`BackendKind::CachedIncremental`]; `OneShot` is the
-    /// differential reference, `IncrementalState` the uncached state the
-    /// default wraps, and `SmtLib` adds an external SMT-LIB2 process).
+    /// (defaults to [`BackendKind::IncrementalState`]; `OneShot` is the
+    /// differential reference, and `SmtLib` adds an external SMT-LIB2
+    /// process).
     /// Overrides any [`EngineOptions::backend`] set through
     /// [`SessionBuilder::engine_options`].
     pub fn backend(mut self, kind: BackendKind) -> Self {
@@ -1008,8 +1006,8 @@ impl HybridSession {
         self.verifier.backend_kind()
     }
 
-    /// Swaps the solver backend of an already-built session (fresh arena,
-    /// cache and statistics; the compiled program and specifications are
+    /// Swaps the solver backend of an already-built session (fresh arena
+    /// and statistics; the compiled program and specifications are
     /// reused). This is how the backend differential tests re-run the
     /// Table 1 suite under each backend.
     pub fn with_backend(mut self, kind: BackendKind) -> Self {
@@ -1581,7 +1579,7 @@ mod tests {
         let a = demo_builder(true).build().unwrap();
         let b = demo_builder(true).workers(8).build().unwrap();
         let c = demo_builder(true)
-            .backend(BackendKind::CachedIncremental)
+            .backend(BackendKind::OneShot)
             .build()
             .unwrap();
         assert_eq!(a.cache_namespace(), b.cache_namespace());

@@ -19,7 +19,7 @@
 //! only at the first atom that changes state, so an attempt that fails on
 //! its pure prefix copies nothing. Recovery and branch auto-unfold
 //! candidates still copy the configuration before they try it. Copies
-//! share the solver's term arena and query cache but own their assertion
+//! share the solver's term arena and statistics but own their assertion
 //! stack.
 
 use crate::state::{PureCtx, StateModel};

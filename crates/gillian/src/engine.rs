@@ -150,29 +150,21 @@ pub struct EngineOptions {
     /// panicking is well-defined behaviour).
     pub panics_are_safe: bool,
     /// Which solver backend answers pure queries
-    /// ([`BackendKind::CachedIncremental`] by default;
-    /// [`BackendKind::OneShot`] is the differential reference and
-    /// [`BackendKind::IncrementalState`] the uncached state the default
-    /// wraps; [`BackendKind::SmtLib`] additionally drives an external
-    /// SMT-LIB2 process for queries the in-repo kernel cannot refute).
+    /// ([`BackendKind::IncrementalState`] by default;
+    /// [`BackendKind::OneShot`] is the differential reference;
+    /// [`BackendKind::SmtLib`] additionally drives an external SMT-LIB2
+    /// process for queries the in-repo kernel cannot refute).
     pub backend: BackendKind,
     /// Wall-clock time box for each external SMT solve (milliseconds;
     /// [`BackendKind::SmtLib`] only). On timeout the solver process is
-    /// killed and respawned and the in-flight cache entry for the query is
-    /// abandoned, so parked obligation workers resume instead of hanging.
-    /// Defaults to `GILLIAN_SMT_TIMEOUT_MS` or 3000.
+    /// killed, the query falls back to the kernel's verdict, and the next
+    /// solve spawns a replacement. Defaults to `GILLIAN_SMT_TIMEOUT_MS` or
+    /// 3000.
     pub smt_timeout_ms: u64,
     /// Explicit external solver command line for [`BackendKind::SmtLib`]
     /// (`None` probes `GILLIAN_SMT`, then `PATH` for `z3`/`cvc5`). Lets
     /// tests and benches inject stub solvers deterministically.
     pub smt_command: Option<Vec<String>>,
-    /// One external SMT process per concurrently-solving obligation worker
-    /// (the default: workers never serialise on the hub mutex; idle
-    /// processes are pooled, checked out by longest shared scope prefix,
-    /// and share the declaration/naming tables). `false` restores the
-    /// single shared process behind a mutex — also forced by
-    /// `GILLIAN_SMT_SINGLE=1`.
-    pub smt_per_worker: bool,
     /// Consult the installed [`StaticOracle`] at symbolic `GotoIf`s: arms
     /// the static value analysis proves infeasible are skipped without
     /// forking a solver scope, partially-proven conjunctive guards assume
@@ -194,7 +186,7 @@ pub struct EngineOptions {
 
 impl Default for EngineOptions {
     fn default() -> Self {
-        let smt = gillian_solver::SmtOptions::from_env();
+        let smt_timeout = gillian_solver::SmtOptions::from_env().timeout;
         EngineOptions {
             auto_unfold_on_branch: true,
             auto_recover: true,
@@ -204,9 +196,8 @@ impl Default for EngineOptions {
             max_branch_unfolds: 3,
             panics_are_safe: false,
             backend: BackendKind::default(),
-            smt_timeout_ms: smt.timeout.as_millis() as u64,
+            smt_timeout_ms: smt_timeout.as_millis() as u64,
             smt_command: None,
-            smt_per_worker: smt.per_worker,
             static_prune: true,
             target_timeout: None,
         }
@@ -529,11 +520,10 @@ impl<S: StateModel> Engine<S> {
         gillian_solver::SmtOptions {
             command: opts.smt_command.clone(),
             timeout: Duration::from_millis(opts.smt_timeout_ms),
-            per_worker: opts.smt_per_worker,
         }
     }
 
-    /// Swaps the solver backend (fresh arena, cache and statistics). Used by
+    /// Swaps the solver backend (fresh arena and statistics). Used by
     /// the ablation harness to re-run the same compiled program under
     /// another backend without recompiling.
     pub fn set_backend(&mut self, kind: BackendKind) {

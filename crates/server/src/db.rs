@@ -7,6 +7,7 @@
 //! against `inc`'s *specification*, not its body) whose call structure makes
 //! the dependency cone of a spec edit easy to observe over the wire.
 
+use creusot_lite::quote_clause;
 use driver::HybridSession;
 use gillian_rust::gilsonite::{lv, GilsoniteCtx, SpecMode};
 use gillian_rust::types::Types;
@@ -126,7 +127,11 @@ impl ProgramDb {
     ) -> Result<ProgramDb, String> {
         let w = workload(name).ok_or_else(|| {
             let known: Vec<&str> = WORKLOADS.iter().map(|w| w.name).collect();
-            format!("unknown workload `{name}` (known: {})", known.join(", "))
+            format!(
+                "unknown workload {} (known: {})",
+                quote_clause(name),
+                known.join(", ")
+            )
         })?;
         let mode = mode.unwrap_or(w.default_mode);
         let mut builder = HybridSession::builder()

@@ -6,6 +6,7 @@
 //! behind `VerificationReport::to_json` — so the report emitter and the
 //! protocol parser are round-trip tested against each other.
 
+use creusot_lite::quote_clause;
 use std::fmt;
 
 /// A JSON value. Numbers keep their integer identity when they have one
@@ -308,7 +309,7 @@ impl JsonParser<'_> {
         text.parse::<f64>()
             .map(Value::Float)
             .map_err(|_| JsonError {
-                message: format!("invalid number `{text}`"),
+                message: format!("invalid number {}", quote_clause(text)),
                 offset: start,
             })
     }

@@ -20,6 +20,7 @@
 //! `workers` is the only parallelism a session has.
 
 use crate::json::{parse, Value};
+use creusot_lite::quote_clause;
 
 /// A decoded request.
 #[derive(Debug, Clone, PartialEq)]
@@ -138,7 +139,8 @@ fn decode(value: &Value) -> Result<Request, String> {
         "stats" => Ok(Request::Stats),
         "shutdown" => Ok(Request::Shutdown),
         other => Err(format!(
-            "unknown cmd `{other}` (known: load, verify, update_spec, update_fn, lint, stats, shutdown)"
+            "unknown cmd {} (known: load, verify, update_spec, update_fn, lint, stats, shutdown)",
+            quote_clause(other)
         )),
     }
 }

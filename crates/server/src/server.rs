@@ -215,12 +215,11 @@ impl ServerCore {
     ) -> Result<Vec<(String, Value)>, DispatchError> {
         let mode = match mode {
             None => None,
-            Some(s) => Some(
-                parse_mode(s)
-                    .ok_or_else(|| format!("unknown mode `{s}` (use \"ts\" or \"fc\")"))?,
-            ),
+            Some(s) => Some(parse_mode(s).ok_or_else(|| {
+                format!("unknown mode {} (use \"ts\" or \"fc\")", quote_clause(s))
+            })?),
         };
-        let w = workload(name).ok_or_else(|| format!("unknown workload `{name}`"))?;
+        let w = workload(name).ok_or_else(|| format!("unknown workload {}", quote_clause(name)))?;
         let mode = mode.unwrap_or(w.default_mode);
         let key = format!("{}:{}", w.name, mode_label(mode));
 
@@ -313,7 +312,7 @@ impl ServerCore {
                         .iter()
                         .find(|t| t.name == *n)
                         .cloned()
-                        .ok_or_else(|| format!("unknown target `{n}`"))?;
+                        .ok_or_else(|| format!("unknown target {}", quote_clause(n)))?;
                     out.push(t);
                 }
                 out
@@ -423,7 +422,7 @@ impl ServerCore {
             .program
             .function(func)
             .cloned()
-            .ok_or_else(|| format!("unknown function `{func}`"))?;
+            .ok_or_else(|| format!("unknown function {}", quote_clause(func)))?;
 
         // Re-elaborate against the retained side context: own-predicates are
         // created on demand there, so they may need syncing into the engine.
@@ -525,7 +524,7 @@ impl ServerCore {
             .procs
             .contains_key(&sym)
         {
-            return Err(format!("unknown function `{func}`").into());
+            return Err(format!("unknown function {}", quote_clause(func)).into());
         }
         // Automatic linting on the touched procedure: errors reject the
         // invalidation (a malformed body can only waste re-proof work),
@@ -781,7 +780,6 @@ fn stats_value(s: SolverStats) -> Value {
             "cases_explored".to_string(),
             Value::Int(s.cases_explored as i64),
         ),
-        ("cache_hits".to_string(), Value::Int(s.cache_hits as i64)),
         (
             "incremental_hits".to_string(),
             Value::Int(s.incremental_hits as i64),
@@ -1145,6 +1143,64 @@ mod tests {
         let v = ok(&core.handle_line(r#"{"id":6,"cmd":"verify"}"#));
         assert!(names(&v, "reverified").is_empty());
         assert_eq!(names(&v, "cached"), vec!["base", "inc", "inc2"]);
+    }
+
+    /// Every error that names a request string quotes a bounded prefix of
+    /// it: each request carries a 100,000-character value, is answered with
+    /// `ok:false` and the error's kind on a line under 1 KB, and the daemon
+    /// then serves a `load` and a `verify`.
+    #[test]
+    fn long_request_strings_are_quoted_in_bounded_errors() {
+        let long = "q".repeat(100_000);
+        let cases = [
+            (format!(r#"{{"cmd":"{long}"}}"#), "unknown cmd `qqq"),
+            (
+                format!(r#"{{"cmd":"load","workload":"{long}"}}"#),
+                "unknown workload `qqq",
+            ),
+            (
+                format!(r#"{{"cmd":"load","workload":"chain","mode":"{long}"}}"#),
+                "unknown mode `qqq",
+            ),
+            (
+                format!(r#"{{"cmd":"verify","targets":["{long}"]}}"#),
+                "unknown target `qqq",
+            ),
+            (
+                format!(
+                    r#"{{"cmd":"update_spec","fn":"{long}","requires":["x@ < 2000"],"ensures":["result@ == x@ + 1"]}}"#
+                ),
+                "unknown function `qqq",
+            ),
+            (
+                format!(r#"{{"cmd":"update_fn","fn":"{long}"}}"#),
+                "unknown function `qqq",
+            ),
+            (
+                format!(r#"{{"cmd":"verify","force":1{}}}"#, "e".repeat(100_000)),
+                "invalid JSON at byte 24: invalid number `1eee",
+            ),
+        ];
+        let mut core = ServerCore::new();
+        ok(&core.handle_line(r#"{"cmd":"load","workload":"chain","workers":1}"#));
+        for (request, kind) in &cases {
+            let resp = core.handle_line(request);
+            let v = parse(&resp).unwrap();
+            assert_eq!(v.get("ok").and_then(Value::as_bool), Some(false), "{kind}");
+            let error = v.get("error").and_then(Value::as_str).unwrap();
+            assert!(error.starts_with(kind), "{kind}: {error}");
+            assert!(resp.len() < 1024, "{kind}: {} byte response", resp.len());
+
+            ok(&core.handle_line(r#"{"cmd":"load","workload":"chain","workers":1}"#));
+            let v = ok(&core.handle_line(r#"{"cmd":"verify"}"#));
+            assert_eq!(v.get("all_verified").and_then(Value::as_bool), Some(true));
+        }
+        // The same message from the workload table itself.
+        let Err(error) = ProgramDb::load(&long, None, Some(1), None) else {
+            panic!("a 100,000-character workload name is unknown");
+        };
+        assert!(error.starts_with("unknown workload `qqq"), "{error}");
+        assert!(error.len() < 1024, "{} byte error", error.len());
     }
 
     #[test]

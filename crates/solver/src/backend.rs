@@ -7,23 +7,21 @@
 //! and queries in place — instead of shipping the whole path condition on
 //! every call.
 //!
-//! Three in-repo kernel backends ship, plus the external SMT-LIB bridge
+//! Two in-repo kernel backends ship, plus the external SMT-LIB bridge
 //! ([`crate::smtlib::SmtBackend`]):
 //!
 //! * [`OneShotBackend`] — the reference: every query re-resolves and
 //!   re-simplifies the whole assertion stack and runs the refutation kernel
 //!   from scratch. The differential tests check the other backends against
 //!   it, and the lint vacuity pass (one query per fresh context) runs on it.
-//! * [`IncrementalStateBackend`] — incremental *theory state*: a persistent
-//!   congruence/linear closure with an undo trail does each literal's theory
-//!   work once; queries consult the maintained closure and only re-split
-//!   disjunctive literals.
-//! * [`CachingBackend`] — a decorator owning a canonicalised query cache: the
-//!   key is the **sorted, deduplicated** set of simplified assertion
-//!   [`TermId`]s (plus the goal), so `{a, b}` and `{b, a}` hit the same
-//!   entry and the cache is shared across branch clones and worker threads.
-//!   The default ([`BackendKind::CachedIncremental`]) wraps the
-//!   incremental-state backend.
+//! * [`IncrementalStateBackend`] — incremental *theory state*, the default:
+//!   a persistent congruence/linear closure with an undo trail does each
+//!   literal's theory work once; queries consult the maintained closure and
+//!   only re-split disjunctive literals.
+//!
+//! No backend remembers answers: every query is answered from the context's
+//! own assertion stack, so no result crosses contexts, branches or
+//! obligations.
 //!
 //! Adding a backend means implementing the trait's six core operations;
 //! `entails` can lean on [`entails_by_decomposition`], and `congruent` can
@@ -34,9 +32,8 @@ use crate::arena::{TermArena, TermId};
 use crate::expr::{BinOp, Expr};
 use crate::kernel;
 use crate::simplify::simplify;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Statistics collected by the solver layer (exposed per-backend through the
@@ -50,7 +47,9 @@ pub struct SolverStats {
     /// Number of leaf conjunctions explored by the refutation kernel (the
     /// "raw work" measure of the ablation).
     pub cases_explored: u64,
-    /// Canonical-key cache hits.
+    /// Always 0: no backend caches query answers any more. Kept so that
+    /// readers written against the old query cache still build.
+    #[deprecated(note = "the query cache is gone; this counter is always 0")]
     pub cache_hits: u64,
     /// Queries shipped to an external SMT process ([`BackendKind::SmtLib`]
     /// only; the kernel had failed to refute them first).
@@ -59,7 +58,7 @@ pub struct SolverStats {
     /// could not produce.
     pub smt_unsat: u64,
     /// External solves that timed out or whose process died (each one
-    /// kills/respawns the process and abandons its in-flight cache entry).
+    /// kills the process; the next solve spawns a replacement).
     pub smt_failures: u64,
     /// Times the SMT bridge came back after a backoff window: spawns had
     /// failed repeatedly and the bridge was resting, then a re-probe
@@ -72,7 +71,8 @@ pub struct SolverStats {
     pub kernel_nanos: u64,
     /// Queries answered straight from the maintained incremental theory
     /// state — no kernel re-run, no case split
-    /// ([`BackendKind::IncrementalState`] and the backends wrapping it).
+    /// ([`BackendKind::IncrementalState`] and the kernel half of
+    /// [`BackendKind::SmtLib`]).
     pub incremental_hits: u64,
     /// Verification targets answered from the persistent on-disk proof
     /// cache without re-proving (filled by the driver/daemon, not the
@@ -103,7 +103,6 @@ impl SolverStats {
                 .entailment_queries
                 .saturating_sub(earlier.entailment_queries),
             cases_explored: self.cases_explored.saturating_sub(earlier.cases_explored),
-            cache_hits: self.cache_hits.saturating_sub(earlier.cache_hits),
             smt_queries: self.smt_queries.saturating_sub(earlier.smt_queries),
             smt_unsat: self.smt_unsat.saturating_sub(earlier.smt_unsat),
             smt_failures: self.smt_failures.saturating_sub(earlier.smt_failures),
@@ -125,6 +124,8 @@ impl SolverStats {
             absint_facts_seeded: self
                 .absint_facts_seeded
                 .saturating_sub(earlier.absint_facts_seeded),
+            // The deprecated `cache_hits` stays 0.
+            ..SolverStats::default()
         }
     }
 
@@ -141,7 +142,6 @@ pub(crate) struct AtomicSolverStats {
     pub(crate) unsat_queries: AtomicU64,
     pub(crate) entailment_queries: AtomicU64,
     pub(crate) cases_explored: AtomicU64,
-    pub(crate) cache_hits: AtomicU64,
     pub(crate) smt_queries: AtomicU64,
     pub(crate) smt_unsat: AtomicU64,
     pub(crate) smt_failures: AtomicU64,
@@ -157,7 +157,6 @@ impl AtomicSolverStats {
             unsat_queries: self.unsat_queries.load(Ordering::Relaxed),
             entailment_queries: self.entailment_queries.load(Ordering::Relaxed),
             cases_explored: self.cases_explored.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
             smt_queries: self.smt_queries.load(Ordering::Relaxed),
             smt_unsat: self.smt_unsat.load(Ordering::Relaxed),
             smt_failures: self.smt_failures.load(Ordering::Relaxed),
@@ -173,6 +172,8 @@ impl AtomicSolverStats {
             disk_cache_writes: 0,
             branches_pruned_static: self.branches_pruned_static.load(Ordering::Relaxed),
             absint_facts_seeded: self.absint_facts_seeded.load(Ordering::Relaxed),
+            // The deprecated `cache_hits` stays 0.
+            ..SolverStats::default()
         }
     }
 
@@ -180,7 +181,6 @@ impl AtomicSolverStats {
         self.unsat_queries.store(0, Ordering::Relaxed);
         self.entailment_queries.store(0, Ordering::Relaxed);
         self.cases_explored.store(0, Ordering::Relaxed);
-        self.cache_hits.store(0, Ordering::Relaxed);
         self.smt_queries.store(0, Ordering::Relaxed);
         self.smt_unsat.store(0, Ordering::Relaxed);
         self.smt_failures.store(0, Ordering::Relaxed);
@@ -197,16 +197,13 @@ pub enum BackendKind {
     /// [`OneShotBackend`]: re-simplify everything on every query (the
     /// differential reference).
     OneShot,
-    /// [`IncrementalStateBackend`]: persistent congruence/linear state with
-    /// an undo trail — queries consult the maintained closure and only
-    /// re-split disjunctive literals. Uncached, so tests reach the trail
-    /// undo without cache hits answering first.
-    IncrementalState,
-    /// [`CachingBackend`] over [`IncrementalStateBackend`]: the default.
+    /// [`IncrementalStateBackend`], the default: persistent
+    /// congruence/linear state with an undo trail — queries consult the
+    /// maintained closure and only re-split disjunctive literals.
     #[default]
-    CachedIncremental,
-    /// [`CachingBackend`] over [`crate::smtlib::SmtBackend`]: the in-repo
-    /// kernel first, an external SMT-LIB2 process (z3/cvc5/`GILLIAN_SMT`)
+    IncrementalState,
+    /// [`crate::smtlib::SmtBackend`]: the in-repo kernel first, an
+    /// external SMT-LIB2 process (z3/cvc5/`GILLIAN_SMT`)
     /// for whatever the kernel cannot refute. Degrades to the kernel alone
     /// when no solver binary is found.
     SmtLib,
@@ -214,18 +211,13 @@ pub enum BackendKind {
 
 impl BackendKind {
     /// Every in-repo backend, in ablation order.
-    pub const ALL: [BackendKind; 3] = [
-        BackendKind::OneShot,
-        BackendKind::IncrementalState,
-        BackendKind::CachedIncremental,
-    ];
+    pub const ALL: [BackendKind; 2] = [BackendKind::OneShot, BackendKind::IncrementalState];
 
     /// Every selectable backend, including the external SMT-LIB bridge
     /// (which degrades to the kernel when no solver binary is probed).
-    pub const ALL_WITH_SMT: [BackendKind; 4] = [
+    pub const ALL_WITH_SMT: [BackendKind; 3] = [
         BackendKind::OneShot,
         BackendKind::IncrementalState,
-        BackendKind::CachedIncremental,
         BackendKind::SmtLib,
     ];
 
@@ -234,7 +226,6 @@ impl BackendKind {
         match self {
             BackendKind::OneShot => "one-shot",
             BackendKind::IncrementalState => "incremental-state",
-            BackendKind::CachedIncremental => "cached-incremental",
             BackendKind::SmtLib => "smtlib",
         }
     }
@@ -273,16 +264,8 @@ pub trait SolverBackend: Send {
     /// closure over the asserted unit facts? See
     /// [`kernel::IncrementalState::congruent`]: sound (`true` implies that
     /// `entails` would prove them equal), no case split, no linear solve,
-    /// no cache, and no trace left in the backend's state.
+    /// and no trace left in the backend's state.
     fn congruent(&mut self, arena: &TermArena, a: TermId, b: TermId) -> bool;
-
-    /// Was the most recent `check_unsat` answer *complete* — i.e. not cut
-    /// short by the case budget? A complete verdict is a pure function of
-    /// the asserted fact *set* (independent of assertion order), so only
-    /// complete answers may be memoised under order-insensitive keys.
-    fn last_query_complete(&self) -> bool {
-        true
-    }
 
     /// The ids passed to [`SolverBackend::assert`] in the open scopes, in
     /// assertion order. This backs [`crate::SolverCtx::path`], the only copy
@@ -294,8 +277,8 @@ pub trait SolverBackend: Send {
     fn assertions(&self) -> &[TermId];
 
     /// Clones the backend for a branching symbolic execution: the clone gets
-    /// an independent assertion stack but shares heavyweight structures
-    /// (arena, cache, statistics) with the original.
+    /// an independent assertion stack but shares the statistics (and, for
+    /// the SMT bridge, the external processes) with the original.
     fn boxed_clone(&self) -> Box<dyn SolverBackend>;
 }
 
@@ -303,8 +286,7 @@ pub trait SolverBackend: Send {
 /// decomposing the goal: conjunctions split, implications assert their
 /// hypothesis into a scope, disjunctions try each arm then refute the
 /// negation, and any other goal is refuted by asserting its negation.
-/// Recursive sub-queries go back through the backend's own entry points, so
-/// a caching decorator also caches the sub-goals.
+/// Recursive sub-queries go back through the backend's own entry points.
 pub fn entails_by_decomposition<B: SolverBackend + ?Sized>(
     b: &mut B,
     arena: &TermArena,
@@ -361,7 +343,7 @@ pub fn entails_by_decomposition<B: SolverBackend + ?Sized>(
 
 /// The reference backend: stores raw asserted ids and, on **every** query,
 /// re-resolves and re-simplifies the whole stack from scratch (no arena
-/// memoisation, no cache) and runs the refutation kernel over the result.
+/// memoisation) and runs the refutation kernel over the result.
 /// The differential tests compare every other backend against it, and the
 /// lint vacuity pass uses it: one query per fresh context, which is exactly
 /// one simplify → flatten → refute, and no SMT process.
@@ -371,7 +353,6 @@ pub struct OneShotBackend {
     case_budget: usize,
     asserted: Vec<TermId>,
     scopes: Vec<usize>,
-    last_complete: bool,
 }
 
 impl OneShotBackend {
@@ -381,7 +362,6 @@ impl OneShotBackend {
             case_budget,
             asserted: Vec::new(),
             scopes: Vec::new(),
-            last_complete: true,
         }
     }
 
@@ -422,14 +402,12 @@ impl SolverBackend for OneShotBackend {
     fn check_unsat(&mut self, arena: &TermArena) -> bool {
         let (literals, definitely_false) = self.literals(arena);
         if definitely_false {
-            self.last_complete = true;
             return true;
         }
         // Timed from here so `kernel_nanos` covers the same work in every
         // backend (kernel/theory time, not simplification).
         let start = Instant::now();
         let out = kernel::refute(&literals, self.case_budget);
-        self.last_complete = !out.budget_exhausted;
         self.stats
             .cases_explored
             .fetch_add(out.leaf_cases, Ordering::Relaxed);
@@ -462,10 +440,6 @@ impl SolverBackend for OneShotBackend {
         equal
     }
 
-    fn last_query_complete(&self) -> bool {
-        self.last_complete
-    }
-
     fn assertions(&self) -> &[TermId] {
         &self.asserted
     }
@@ -476,7 +450,6 @@ impl SolverBackend for OneShotBackend {
             case_budget: self.case_budget,
             asserted: self.asserted.clone(),
             scopes: self.scopes.clone(),
-            last_complete: self.last_complete,
         })
     }
 }
@@ -505,7 +478,6 @@ pub struct IncrementalStateBackend {
     /// Raw asserted ids, in assertion order.
     raw: Vec<TermId>,
     scopes: Vec<usize>,
-    last_complete: bool,
 }
 
 impl IncrementalStateBackend {
@@ -516,7 +488,6 @@ impl IncrementalStateBackend {
             state: kernel::IncrementalState::new(),
             raw: Vec::new(),
             scopes: Vec::new(),
-            last_complete: true,
         }
     }
 }
@@ -563,7 +534,6 @@ impl SolverBackend for IncrementalStateBackend {
         let _ = arena;
         let start = Instant::now();
         let out = self.state.check(self.case_budget);
-        self.last_complete = !out.budget_exhausted;
         if out.fast {
             self.stats.incremental_hits.fetch_add(1, Ordering::Relaxed);
         }
@@ -590,491 +560,11 @@ impl SolverBackend for IncrementalStateBackend {
         equal
     }
 
-    fn last_query_complete(&self) -> bool {
-        self.last_complete
-    }
-
     fn assertions(&self) -> &[TermId] {
         &self.raw
     }
 
     fn boxed_clone(&self) -> Box<dyn SolverBackend> {
         Box::new(self.clone())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Caching decorator
-// ---------------------------------------------------------------------------
-
-/// A query that one context is currently computing. Concurrent askers of
-/// the same (assertion set, goal) park here instead of re-running the
-/// kernel, so each distinct query costs exactly one kernel exploration
-/// whatever the thread count — this is what keeps the `cases_explored`
-/// counter deterministic at 1 vs N obligation workers.
-///
-/// Waits cannot deadlock: a computation only ever waits (through its
-/// decomposition sub-queries) on entries whose key is a superset of its
-/// own, or — at equal keys — whose goal is strictly structurally smaller
-/// (`None` smallest), a well-founded descent shared by every thread.
-#[derive(Debug)]
-pub(crate) struct InFlight {
-    state: Mutex<InFlightState>,
-    cv: Condvar,
-}
-
-#[derive(Clone, Copy, Debug)]
-enum InFlightState {
-    Pending,
-    Done(bool),
-    /// The computation finished budget-exhausted (not cacheable): waiters
-    /// must compute for themselves.
-    Abandoned,
-}
-
-impl InFlight {
-    fn new() -> InFlight {
-        InFlight {
-            state: Mutex::new(InFlightState::Pending),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn wait(&self) -> InFlightState {
-        let mut st = self.state.lock().unwrap();
-        while matches!(*st, InFlightState::Pending) {
-            st = self.cv.wait(st).unwrap();
-        }
-        *st
-    }
-
-    fn settle(&self, st: InFlightState) {
-        *self.state.lock().unwrap() = st;
-        self.cv.notify_all();
-    }
-}
-
-/// A cached verdict: settled, or still being computed by some context.
-#[derive(Clone, Debug)]
-pub(crate) enum CachedVerdict {
-    Done(bool),
-    InFlight(Arc<InFlight>),
-}
-
-/// Cached verdicts for one canonical assertion set: `None` keys the plain
-/// `check_unsat`, `Some(goal)` keys entailments of that (simplified) goal.
-type GoalVerdicts = HashMap<Option<TermId>, CachedVerdict>;
-
-/// The shared canonical query cache: one per [`crate::Solver`], shared by
-/// every branch clone and worker thread. Two-level so lookups can borrow the
-/// canonical slice instead of allocating a key per query.
-pub(crate) type QueryCache = Arc<RwLock<HashMap<Box<[TermId]>, GoalVerdicts>>>;
-
-/// What [`CachingBackend::lookup_or_begin`] decided.
-enum Lookup {
-    /// A settled verdict (either cached, or computed by another context we
-    /// waited for).
-    Hit(bool),
-    /// This context claimed the query: it must compute and then
-    /// [`ClaimGuard::finish`] the claim.
-    Compute(ClaimGuard),
-}
-
-/// RAII claim on an in-flight query. Created when a context installs the
-/// in-flight marker, and guaranteed to release it exactly once: either
-/// explicitly through [`ClaimGuard::finish`] (publishing the verdict), or on
-/// drop — a panic during the computation, a backend that bails out early,
-/// any future code path that forgets — by removing the entry and waking
-/// every parked waiter with `Abandoned`. Structurally, no worker can be
-/// left parked forever on a computation that will never settle; this is
-/// load-bearing for external-process backends, whose solves can die or be
-/// killed mid-query.
-pub(crate) struct ClaimGuard {
-    cache: QueryCache,
-    cell: Arc<InFlight>,
-    key: Box<[TermId]>,
-    goal: Option<TermId>,
-    finished: bool,
-}
-
-impl ClaimGuard {
-    /// Publishes the result of the claimed query: settles the entry when the
-    /// answer is complete (cacheable), removes it otherwise, and wakes every
-    /// parked waiter either way. The key is the canonical-set snapshot taken
-    /// at claim time (entailment decompositions push and pop around the
-    /// computation; the stack is balanced, but the snapshot makes this
-    /// independent of that invariant).
-    fn finish(mut self, result: bool, complete: bool) {
-        {
-            let key = std::mem::take(&mut self.key);
-            let mut write = self.cache.write().unwrap();
-            let slot = write.entry(key).or_default();
-            if complete {
-                slot.insert(self.goal, CachedVerdict::Done(result));
-            } else {
-                slot.remove(&self.goal);
-            }
-        }
-        self.cell.settle(if complete {
-            InFlightState::Done(result)
-        } else {
-            InFlightState::Abandoned
-        });
-        self.finished = true;
-    }
-}
-
-impl Drop for ClaimGuard {
-    fn drop(&mut self) {
-        if self.finished {
-            return;
-        }
-        if let Ok(mut write) = self.cache.write() {
-            if let Some(m) = write.get_mut(&self.key) {
-                m.remove(&self.goal);
-            }
-        }
-        self.cell.settle(InFlightState::Abandoned);
-    }
-}
-
-/// A decorator adding an order-insensitive query cache in front of any
-/// backend. Keys canonicalise the assertion set (sorted, deduplicated), so
-/// the same facts asserted in a different order — a different execution path
-/// reaching the same pure state — hit the same entry.
-///
-/// Only *complete* answers are cached ([`SolverBackend::last_query_complete`]):
-/// a budget-exhausted "could not refute" is the one kernel answer that can
-/// depend on assertion order, so keeping it out of the cache makes cached
-/// verdicts a pure function of the fact set — preserving both refutation
-/// soundness and cross-worker determinism.
-pub struct CachingBackend {
-    inner: Box<dyn SolverBackend>,
-    cache: QueryCache,
-    stats: Arc<AtomicSolverStats>,
-    /// Simplified ids of the asserted facts, in assertion order.
-    key_ids: Vec<TermId>,
-    scopes: Vec<usize>,
-    /// Memoised canonical form of `key_ids`; invalidated on assert/pop.
-    canonical: Option<Box<[TermId]>>,
-    /// Bumped whenever an inner query comes back budget-exhausted; lets
-    /// `entails` tell whether its whole decomposition was complete.
-    incomplete_events: u64,
-    name: &'static str,
-}
-
-impl std::fmt::Debug for CachingBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "CachingBackend({})", self.inner.name())
-    }
-}
-
-impl CachingBackend {
-    pub(crate) fn new(
-        inner: Box<dyn SolverBackend>,
-        cache: QueryCache,
-        stats: Arc<AtomicSolverStats>,
-        name: &'static str,
-    ) -> Self {
-        CachingBackend {
-            inner,
-            cache,
-            stats,
-            key_ids: Vec::new(),
-            scopes: Vec::new(),
-            canonical: None,
-            incomplete_events: 0,
-            name,
-        }
-    }
-
-    /// The canonical (sorted, deduplicated) assertion set, recomputed only
-    /// after the stack changed — queries between mutations reuse it.
-    fn canonical(&mut self) -> &[TermId] {
-        if self.canonical.is_none() {
-            let mut ids = self.key_ids.clone();
-            ids.sort_unstable();
-            ids.dedup();
-            self.canonical = Some(ids.into_boxed_slice());
-        }
-        self.canonical.as_deref().unwrap()
-    }
-
-    /// Resolves a query against the cache, *claiming* it when absent.
-    ///
-    /// * A settled entry is a hit.
-    /// * An in-flight entry (another context is computing the same query
-    ///   right now) parks until it settles — the query is never computed
-    ///   twice, which keeps kernel-work counters deterministic whatever the
-    ///   thread count.
-    /// * An absent entry is claimed: an in-flight marker is installed and
-    ///   the caller must compute and [`CachingBackend::finish`].
-    fn lookup_or_begin(&mut self, goal: Option<TermId>) -> Lookup {
-        use std::collections::hash_map::Entry;
-        let cache = Arc::clone(&self.cache);
-        // Fast path: a settled entry under the read lock, with no key
-        // allocation (the overwhelmingly common case on warm caches).
-        let fast = {
-            let key = self.canonical();
-            match cache.read().unwrap().get(key).and_then(|m| m.get(&goal)) {
-                Some(CachedVerdict::Done(b)) => Some(*b),
-                _ => None,
-            }
-        };
-        if let Some(b) = fast {
-            self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-            return Lookup::Hit(b);
-        }
-        loop {
-            enum Probe {
-                Hit(bool),
-                Wait(Arc<InFlight>),
-                Claimed(ClaimGuard),
-            }
-            let probe = {
-                let key: Box<[TermId]> = Box::from(self.canonical());
-                let mut write = cache.write().unwrap();
-                match write.entry(key.clone()).or_default().entry(goal) {
-                    Entry::Occupied(e) => match e.get() {
-                        CachedVerdict::Done(b) => Probe::Hit(*b),
-                        CachedVerdict::InFlight(cell) => Probe::Wait(Arc::clone(cell)),
-                    },
-                    Entry::Vacant(slot) => {
-                        let cell = Arc::new(InFlight::new());
-                        slot.insert(CachedVerdict::InFlight(Arc::clone(&cell)));
-                        Probe::Claimed(ClaimGuard {
-                            cache: Arc::clone(&cache),
-                            cell,
-                            key,
-                            goal,
-                            finished: false,
-                        })
-                    }
-                }
-            };
-            match probe {
-                Probe::Hit(b) => {
-                    self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-                    return Lookup::Hit(b);
-                }
-                Probe::Claimed(claim) => return Lookup::Compute(claim),
-                Probe::Wait(cell) => match cell.wait() {
-                    InFlightState::Done(b) => {
-                        self.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-                        return Lookup::Hit(b);
-                    }
-                    // The computation was not cacheable (budget-exhausted):
-                    // retry, most likely claiming the query for ourselves.
-                    InFlightState::Abandoned => continue,
-                    InFlightState::Pending => unreachable!("wait() returns settled states"),
-                },
-            }
-        }
-    }
-}
-
-impl SolverBackend for CachingBackend {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn push(&mut self) {
-        self.scopes.push(self.key_ids.len());
-        self.inner.push();
-    }
-
-    fn pop(&mut self) {
-        if let Some(mark) = self.scopes.pop() {
-            if mark != self.key_ids.len() {
-                self.key_ids.truncate(mark);
-                self.canonical = None;
-            }
-        }
-        self.inner.pop();
-    }
-
-    fn assert(&mut self, arena: &TermArena, fact: TermId) {
-        self.key_ids.push(arena.simplify(fact));
-        self.canonical = None;
-        self.inner.assert(arena, fact);
-    }
-
-    fn check_unsat(&mut self, arena: &TermArena) -> bool {
-        match self.lookup_or_begin(None) {
-            Lookup::Hit(b) => b,
-            Lookup::Compute(claim) => {
-                // The claim settles (as abandoned) if the inner backend
-                // panics or otherwise exits without reaching `finish`.
-                let result = self.inner.check_unsat(arena);
-                let complete = self.inner.last_query_complete();
-                if !complete {
-                    self.incomplete_events += 1;
-                }
-                claim.finish(result, complete);
-                result
-            }
-        }
-    }
-
-    fn entails(&mut self, arena: &TermArena, goal: TermId) -> bool {
-        let goal_id = arena.simplify(goal);
-        match self.lookup_or_begin(Some(goal_id)) {
-            Lookup::Hit(b) => b,
-            Lookup::Compute(claim) => {
-                // Decompose through *this* backend, so sub-goals and the
-                // leaf refutations are cached too. The decomposition
-                // restores the assertion stack (balanced push/pop), so the
-                // claimed key is unchanged by the time we publish.
-                let before = self.incomplete_events;
-                let result = entails_by_decomposition(self, arena, goal_id);
-                let complete = self.incomplete_events == before;
-                claim.finish(result, complete);
-                result
-            }
-        }
-    }
-
-    /// Not cached: the closure lookup costs less than a cache key.
-    fn congruent(&mut self, arena: &TermArena, a: TermId, b: TermId) -> bool {
-        self.inner.congruent(arena, a, b)
-    }
-
-    fn last_query_complete(&self) -> bool {
-        self.inner.last_query_complete()
-    }
-
-    fn assertions(&self) -> &[TermId] {
-        self.inner.assertions()
-    }
-
-    fn boxed_clone(&self) -> Box<dyn SolverBackend> {
-        Box::new(CachingBackend {
-            inner: self.inner.boxed_clone(),
-            cache: Arc::clone(&self.cache),
-            stats: Arc::clone(&self.stats),
-            key_ids: self.key_ids.clone(),
-            scopes: self.scopes.clone(),
-            canonical: self.canonical.clone(),
-            incomplete_events: self.incomplete_events,
-            name: self.name,
-        })
-    }
-}
-
-#[cfg(test)]
-mod inflight_tests {
-    use super::*;
-    use crate::expr::VarGen;
-    use std::sync::mpsc;
-    use std::time::Duration;
-
-    /// An inner backend that signals when its computation starts, then
-    /// panics — standing in for a computing thread (or an external solver
-    /// process) that dies without ever settling its in-flight entry.
-    struct PanickingBackend {
-        asserted: Vec<TermId>,
-        started: mpsc::Sender<()>,
-    }
-
-    impl SolverBackend for PanickingBackend {
-        fn name(&self) -> &'static str {
-            "panicking"
-        }
-        fn push(&mut self) {}
-        fn pop(&mut self) {}
-        fn assert(&mut self, _arena: &TermArena, fact: TermId) {
-            self.asserted.push(fact);
-        }
-        fn check_unsat(&mut self, _arena: &TermArena) -> bool {
-            let _ = self.started.send(());
-            // Give the sibling context time to park on the in-flight entry.
-            std::thread::sleep(Duration::from_millis(100));
-            panic!("backend died mid-query");
-        }
-        fn entails(&mut self, arena: &TermArena, goal: TermId) -> bool {
-            entails_by_decomposition(self, arena, goal)
-        }
-        fn congruent(&mut self, _arena: &TermArena, a: TermId, b: TermId) -> bool {
-            a == b
-        }
-        fn assertions(&self) -> &[TermId] {
-            &self.asserted
-        }
-        fn boxed_clone(&self) -> Box<dyn SolverBackend> {
-            unreachable!("not cloned in this test")
-        }
-    }
-
-    /// Regression: a claimed in-flight computation that dies without
-    /// settling must release parked waiters (the [`ClaimGuard`] settles the
-    /// entry as abandoned on drop). Without the guard, the waiter parks on
-    /// the condvar forever and a parallel exploration deadlocks.
-    #[test]
-    fn dead_computation_releases_parked_waiters() {
-        let arena = Arc::new(TermArena::new());
-        let stats = Arc::new(AtomicSolverStats::default());
-        let cache: QueryCache = Arc::new(RwLock::new(HashMap::new()));
-        let mut g = VarGen::new();
-        let x = g.fresh_expr();
-        let facts = [Expr::eq(x.clone(), Expr::Int(1)), Expr::eq(x, Expr::Int(2))];
-
-        let (started_tx, started_rx) = mpsc::channel();
-        let dying = {
-            let arena = Arc::clone(&arena);
-            let cache = Arc::clone(&cache);
-            let stats = Arc::clone(&stats);
-            let facts = facts.clone();
-            std::thread::spawn(move || {
-                let mut b = CachingBackend::new(
-                    Box::new(PanickingBackend {
-                        asserted: Vec::new(),
-                        started: started_tx,
-                    }),
-                    cache,
-                    stats,
-                    "caching-panicking",
-                );
-                for f in &facts {
-                    let id = arena.intern(f);
-                    b.assert(&arena, id);
-                }
-                // Claims the (facts, None) entry, then dies inside the inner
-                // backend; the unwind drops the claim guard.
-                b.check_unsat(&arena)
-            })
-        };
-        started_rx
-            .recv_timeout(Duration::from_secs(10))
-            .expect("the dying context claims the query");
-
-        // A sibling context asking the same canonical query: parks on the
-        // in-flight entry, must be released when the computation dies, and
-        // then computes the verdict for itself.
-        let (done_tx, done_rx) = mpsc::channel();
-        let waiter = {
-            let arena = Arc::clone(&arena);
-            let cache = Arc::clone(&cache);
-            let stats = Arc::clone(&stats);
-            std::thread::spawn(move || {
-                let mut b = CachingBackend::new(
-                    Box::new(OneShotBackend::new(Arc::clone(&stats), 512)),
-                    cache,
-                    stats,
-                    "caching-one-shot",
-                );
-                for f in &facts {
-                    let id = arena.intern(f);
-                    b.assert(&arena, id);
-                }
-                let _ = done_tx.send(b.check_unsat(&arena));
-            })
-        };
-
-        assert!(dying.join().is_err(), "the computing thread panicked");
-        let verdict = done_rx
-            .recv_timeout(Duration::from_secs(10))
-            .expect("the parked waiter must be released, not deadlock");
-        assert!(verdict, "x == 1 && x == 2 is unsatisfiable");
-        waiter.join().unwrap();
     }
 }

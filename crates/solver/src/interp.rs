@@ -71,7 +71,8 @@ impl Env {
 }
 
 /// Evaluates an expression under an environment. Returns `None` when the
-/// expression is ill-sorted or mentions an unbound variable.
+/// expression is ill-sorted, mentions an unbound variable, or overflows the
+/// integer range: an overflow has no value, so it is never a model.
 pub fn eval(e: &Expr, env: &Env) -> Option<Value> {
     match e {
         Expr::Var(v) => env.get(*v).cloned(),
@@ -105,7 +106,7 @@ pub fn eval(e: &Expr, env: &Env) -> Option<Value> {
             let va = eval(a, env)?;
             match op {
                 UnOp::Not => Some(Value::Bool(!va.as_bool()?)),
-                UnOp::Neg => Some(Value::Int(-va.as_int()?)),
+                UnOp::Neg => Some(Value::Int(va.as_int()?.checked_neg()?)),
                 UnOp::SeqLen => Some(Value::Int(va.as_seq()?.len() as i128)),
                 UnOp::BagOf => {
                     let mut bag = BTreeMap::new();
@@ -163,25 +164,12 @@ pub fn eval(e: &Expr, env: &Env) -> Option<Value> {
 fn eval_binop(op: BinOp, va: Value, vb: Value) -> Option<Value> {
     use BinOp::*;
     match op {
-        Add => Some(Value::Int(va.as_int()? + vb.as_int()?)),
-        Sub => Some(Value::Int(va.as_int()? - vb.as_int()?)),
-        Mul => Some(Value::Int(va.as_int()? * vb.as_int()?)),
-        Div => {
-            let d = vb.as_int()?;
-            if d == 0 {
-                None
-            } else {
-                Some(Value::Int(va.as_int()? / d))
-            }
-        }
-        Rem => {
-            let d = vb.as_int()?;
-            if d == 0 {
-                None
-            } else {
-                Some(Value::Int(va.as_int()? % d))
-            }
-        }
+        Add => Some(Value::Int(va.as_int()?.checked_add(vb.as_int()?)?)),
+        Sub => Some(Value::Int(va.as_int()?.checked_sub(vb.as_int()?)?)),
+        Mul => Some(Value::Int(va.as_int()?.checked_mul(vb.as_int()?)?)),
+        // `None` on a zero divisor too.
+        Div => Some(Value::Int(va.as_int()?.checked_div(vb.as_int()?)?)),
+        Rem => Some(Value::Int(va.as_int()?.checked_rem(vb.as_int()?)?)),
         Lt => Some(Value::Bool(va.as_int()? < vb.as_int()?)),
         Le => Some(Value::Bool(va.as_int()? <= vb.as_int()?)),
         Gt => Some(Value::Bool(va.as_int()? > vb.as_int()?)),
@@ -280,6 +268,37 @@ mod tests {
         let env = Env::new();
         let s = Expr::seq(vec![Expr::Int(1)]);
         assert_eq!(eval(&Expr::seq_at(s, Expr::Int(5)), &env), None);
+    }
+
+    #[test]
+    fn eval_overflow_is_none() {
+        let env = Env::new();
+        let (max, min) = (Expr::Int(i128::MAX), Expr::Int(i128::MIN));
+        let overflows = [
+            Expr::add(max.clone(), Expr::Int(1)),
+            Expr::sub(min.clone(), Expr::Int(1)),
+            Expr::mul(max.clone(), Expr::Int(2)),
+            Expr::neg(min.clone()),
+            Expr::bin(BinOp::Div, min.clone(), Expr::Int(-1)),
+            // Inside a comparison the whole fact has no value.
+            Expr::lt(Expr::Int(0), Expr::add(max.clone(), Expr::Int(1))),
+        ];
+        for e in &overflows {
+            assert_eq!(eval(e, &env), None, "{e}");
+        }
+        // Right at the bounds there is a value.
+        assert_eq!(
+            eval(&Expr::add(max, Expr::Int(-1)), &env),
+            Some(Value::Int(i128::MAX - 1))
+        );
+        assert_eq!(
+            eval(&Expr::mul(Expr::Int(u64::MAX as i128), Expr::Int(4)), &env),
+            Some(Value::Int(u64::MAX as i128 * 4))
+        );
+        assert_eq!(
+            eval(&Expr::bin(BinOp::Div, Expr::Int(7), Expr::Int(0)), &env),
+            None
+        );
     }
 
     #[test]

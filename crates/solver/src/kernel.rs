@@ -8,8 +8,8 @@
 //! genuinely unsatisfiable; `false` means "could not refute".
 //!
 //! The kernel is a pure function of its inputs; how literals are accumulated
-//! (one-shot per query, incrementally at assert time, through a cache) is the
-//! backends' business ([`crate::backend`]).
+//! (one-shot per query, or incrementally at assert time) is the backends'
+//! business ([`crate::backend`]).
 
 use crate::bags;
 use crate::congruence::{CcSnapshot, Congruence};
@@ -27,12 +27,6 @@ pub struct RefuteOutcome {
     /// Number of leaf conjunctions explored (the "raw work" measure the
     /// backend comparisons use).
     pub leaf_cases: u64,
-    /// Did the search give up because the case budget ran out? A
-    /// budget-exhausted "could not refute" is the only kernel answer that
-    /// depends on literal order (which disjunct the budget dies in); complete
-    /// searches explore the same leaf set in any order. Callers that cache
-    /// results under order-insensitive keys must not cache exhausted runs.
-    pub budget_exhausted: bool,
 }
 
 /// Attempts to refute the conjunction of `literals` within `case_budget`
@@ -40,12 +34,10 @@ pub struct RefuteOutcome {
 pub fn refute(literals: &[Arc<Expr>], case_budget: usize) -> RefuteOutcome {
     let mut budget = case_budget;
     let mut leaf_cases = 0u64;
-    let mut exhausted = false;
-    let refuted = refute_cases(literals, &mut budget, &mut leaf_cases, &mut exhausted);
+    let refuted = refute_cases(literals, &mut budget, &mut leaf_cases);
     RefuteOutcome {
         refuted,
         leaf_cases,
-        budget_exhausted: exhausted,
     }
 }
 
@@ -108,14 +100,8 @@ pub fn split_of(lit: &Expr) -> Option<(Expr, Expr)> {
 }
 
 /// Recursively case-splits on disjunctive literals, refuting every case.
-fn refute_cases(
-    literals: &[Arc<Expr>],
-    budget: &mut usize,
-    leaf_cases: &mut u64,
-    exhausted: &mut bool,
-) -> bool {
+fn refute_cases(literals: &[Arc<Expr>], budget: &mut usize, leaf_cases: &mut u64) -> bool {
     if *budget == 0 {
-        *exhausted = true;
         return false;
     }
     // Find a disjunctive literal to split on.
@@ -130,7 +116,7 @@ fn refute_cases(
                 if definitely_false {
                     continue;
                 }
-                if !refute_cases(&case_literals, budget, leaf_cases, exhausted) {
+                if !refute_cases(&case_literals, budget, leaf_cases) {
                     return false;
                 }
             }
@@ -277,8 +263,6 @@ pub struct IncOutcome {
     /// Leaf conjunctions explored by the disjunctive case split (0 when the
     /// answer came straight from the maintained closure).
     pub leaf_cases: u64,
-    /// Did the case split give up because the budget ran out?
-    pub budget_exhausted: bool,
     /// Was the query answered from the maintained theory state alone,
     /// without running the case split?
     pub fast: bool,
@@ -465,7 +449,6 @@ impl IncrementalState {
             return IncOutcome {
                 refuted: true,
                 leaf_cases: 0,
-                budget_exhausted: false,
                 fast: true,
             };
         }
@@ -473,19 +456,16 @@ impl IncrementalState {
             return IncOutcome {
                 refuted: false,
                 leaf_cases: 0,
-                budget_exhausted: false,
                 fast: true,
             };
         }
         let mut budget = case_budget;
         let mut leaves = 0u64;
-        let mut exhausted = false;
         let pending = self.disjuncts.clone();
-        let refuted = self.split(&pending, &mut budget, &mut leaves, &mut exhausted);
+        let refuted = self.split(&pending, &mut budget, &mut leaves);
         IncOutcome {
             refuted,
             leaf_cases: leaves,
-            budget_exhausted: exhausted,
             fast: false,
         }
     }
@@ -797,15 +777,8 @@ impl IncrementalState {
     /// top of the maintained state (assert into a trail scope, recurse,
     /// undo). Mirrors the batch kernel's exploration order: first pending
     /// disjunct first, nested disjuncts appended behind the remaining ones.
-    fn split(
-        &mut self,
-        pending: &[Arc<Expr>],
-        budget: &mut usize,
-        leaves: &mut u64,
-        exhausted: &mut bool,
-    ) -> bool {
+    fn split(&mut self, pending: &[Arc<Expr>], budget: &mut usize, leaves: &mut u64) -> bool {
         if *budget == 0 {
-            *exhausted = true;
             return false;
         }
         let Some((first, rest)) = pending.split_first() else {
@@ -845,7 +818,7 @@ impl IncrementalState {
                 let mut sub: Vec<Arc<Expr>> = Vec::with_capacity(rest.len() + case.splits.len());
                 sub.extend(rest.iter().cloned());
                 sub.extend(case.splits.iter().cloned());
-                self.split(&sub, budget, leaves, exhausted)
+                self.split(&sub, budget, leaves)
             };
             self.undo_to_mark(m);
             if !result {

@@ -57,8 +57,8 @@ pub mod symbol;
 
 pub use arena::{TermArena, TermId};
 pub use backend::{
-    entails_by_decomposition, BackendKind, CachingBackend, IncrementalStateBackend, OneShotBackend,
-    SolverBackend, SolverStats,
+    entails_by_decomposition, BackendKind, IncrementalStateBackend, OneShotBackend, SolverBackend,
+    SolverStats,
 };
 pub use expr::{BinOp, Expr, NOp, SVar, UnOp, VarGen};
 pub use hash::StableHasher;

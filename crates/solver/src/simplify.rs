@@ -75,7 +75,7 @@ fn rewrite_unop(op: UnOp, a: Expr) -> Expr {
         (UnOp::Not, Expr::BinOp(BinOp::Implies, x, y)) => {
             Expr::and((**x).clone(), Expr::not((**y).clone()))
         }
-        (UnOp::Neg, Expr::Int(i)) => Expr::Int(-i),
+        (UnOp::Neg, Expr::Int(i)) if i.checked_neg().is_some() => Expr::Int(-i),
         (UnOp::Neg, Expr::UnOp(UnOp::Neg, inner)) => (**inner).clone(),
         (UnOp::SeqLen, Expr::SeqLit(items)) => Expr::Int(items.len() as i128),
         (UnOp::SeqLen, Expr::BinOp(BinOp::SeqConcat, x, y)) => {
@@ -99,38 +99,42 @@ fn rewrite_unop(op: UnOp, a: Expr) -> Expr {
 
 fn rewrite_binop(op: BinOp, a: Expr, b: Expr) -> Expr {
     use BinOp::*;
+    // Literal folding is checked: a result outside `i128` stays unfolded,
+    // because a wrapped constant would be a wrong one.
     match op {
         Add => match (&a, &b) {
-            (Expr::Int(x), Expr::Int(y)) => Expr::Int(x + y),
+            (Expr::Int(x), Expr::Int(y)) if x.checked_add(*y).is_some() => Expr::Int(x + y),
             (Expr::Int(0), _) => b,
             (_, Expr::Int(0)) => a,
             // (x + a) + b  ==>  x + (a + b) for literal a, b.
-            (Expr::BinOp(Add, x, k1), Expr::Int(k2)) => match k1.as_int() {
-                Some(k1v) => Expr::add((**x).clone(), Expr::Int(k1v + k2)),
-                None => Expr::bin(Add, a, b),
-            },
+            (Expr::BinOp(Add, x, k1), Expr::Int(k2)) => {
+                match k1.as_int().and_then(|k1| k1.checked_add(*k2)) {
+                    Some(k) => Expr::add((**x).clone(), Expr::Int(k)),
+                    None => Expr::bin(Add, a, b),
+                }
+            }
             _ => Expr::bin(Add, a, b),
         },
         Sub => match (&a, &b) {
-            (Expr::Int(x), Expr::Int(y)) => Expr::Int(x - y),
+            (Expr::Int(x), Expr::Int(y)) if x.checked_sub(*y).is_some() => Expr::Int(x - y),
             (_, Expr::Int(0)) => a,
             _ if a == b => Expr::Int(0),
             _ => Expr::bin(Sub, a, b),
         },
         Mul => match (&a, &b) {
-            (Expr::Int(x), Expr::Int(y)) => Expr::Int(x * y),
+            (Expr::Int(x), Expr::Int(y)) if x.checked_mul(*y).is_some() => Expr::Int(x * y),
             (Expr::Int(0), _) | (_, Expr::Int(0)) => Expr::Int(0),
             (Expr::Int(1), _) => b,
             (_, Expr::Int(1)) => a,
             _ => Expr::bin(Mul, a, b),
         },
         Div => match (&a, &b) {
-            (Expr::Int(x), Expr::Int(y)) if *y != 0 => Expr::Int(x / y),
+            (Expr::Int(x), Expr::Int(y)) if x.checked_div(*y).is_some() => Expr::Int(x / y),
             (_, Expr::Int(1)) => a,
             _ => Expr::bin(Div, a, b),
         },
         Rem => match (&a, &b) {
-            (Expr::Int(x), Expr::Int(y)) if *y != 0 => Expr::Int(x % y),
+            (Expr::Int(x), Expr::Int(y)) if x.checked_rem(*y).is_some() => Expr::Int(x % y),
             // Parity reasoning: (x + k) % 2 == x % 2 when k is even.
             (Expr::BinOp(Add, x, k), Expr::Int(2))
                 if k.as_int().map(|v| v % 2 == 0) == Some(true) =>

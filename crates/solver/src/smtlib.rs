@@ -24,28 +24,24 @@
 //!
 //! ## Process driving
 //!
-//! By default the bridge runs **one process per concurrently-solving
-//! worker**: each solve checks a process out of an idle pool (preferring the
-//! one whose mirrored stack shares the longest scope prefix with the query)
-//! or spawns a fresh one seeded with the shared prelude, so obligation
-//! workers never serialise on a hub mutex. The naming tables (constructor tags,
-//! opaque constants) stay shared — locked only while rendering — so names
-//! are stable across every process. `GILLIAN_SMT_SINGLE=1` (or
-//! `SmtOptions::per_worker = false`) restores the pre-pool fallback: one
-//! process per [`crate::Solver`] hub behind a mutex. Either way a process
-//! mirrors the querying context's assertion stack with `(push 1)`/`(pop 1)`:
-//! before each `(check-sat)` its state is re-synchronised to the context's
-//! branch scopes by popping to the common prefix and asserting the
-//! difference, so a linear exploration inside one branch is fully
-//! incremental.
+//! The bridge runs **one process per concurrently-solving worker**: each
+//! solve checks a process out of an idle pool (preferring the one whose
+//! mirrored stack shares the longest scope prefix with the query) or spawns
+//! a fresh one seeded with the shared prelude, so obligation workers never
+//! serialise on a hub mutex; at one obligation worker the pool drives
+//! exactly one process. The naming tables (constructor tags, opaque
+//! constants) stay shared — locked only while rendering — so names are
+//! stable across every process. A process mirrors the querying context's
+//! assertion stack with `(push 1)`/`(pop 1)`: before each `(check-sat)` its
+//! state is re-synchronised to the context's branch scopes by popping to
+//! the common prefix and asserting the difference, so a linear exploration
+//! inside one branch is fully incremental.
 //!
 //! Every solve is **time-boxed** (default 3 s; `GILLIAN_SMT_TIMEOUT_MS` or
 //! `EngineOptions::smt_timeout_ms`). On timeout or process death the child is
-//! killed and respawned lazily, and — critically — the query reports itself
-//! *incomplete* ([`SolverBackend::last_query_complete`]), which makes the
-//! caching decorator abandon its in-flight compute-once entry instead of
-//! publishing it: workers parked on the same query resume and recompute
-//! rather than hanging on a solve that will never settle.
+//! killed, the verdict falls back to the kernel's "could not refute", and
+//! the next solve spawns a replacement. Answers are not remembered, so
+//! nothing waits on a solve but the context that asked it.
 //!
 //! The module is feature-gated (`smtlib`, on by default, pure `std`): with
 //! the feature disabled no process is ever spawned and the backend degrades
@@ -87,12 +83,6 @@ pub struct SmtOptions {
     pub command: Option<Vec<String>>,
     /// Wall-clock time box per solve.
     pub timeout: Duration,
-    /// One external process per concurrently-solving worker (the default:
-    /// solves never serialise on a hub mutex; idle processes are pooled and
-    /// checked out by longest shared scope prefix) versus the single shared
-    /// process behind a mutex (the pre-pool behaviour; forced by
-    /// `GILLIAN_SMT_SINGLE=1`).
-    pub per_worker: bool,
 }
 
 impl Default for SmtOptions {
@@ -104,20 +94,15 @@ impl Default for SmtOptions {
 impl SmtOptions {
     /// Probe-everything defaults: command from the environment/`PATH`,
     /// timeout from `GILLIAN_SMT_TIMEOUT_MS` (milliseconds) or
-    /// [`DEFAULT_TIMEOUT_MS`], per-worker processes unless
-    /// `GILLIAN_SMT_SINGLE` is set to `1`/`true`/`on`.
+    /// [`DEFAULT_TIMEOUT_MS`].
     pub fn from_env() -> Self {
         let timeout = std::env::var("GILLIAN_SMT_TIMEOUT_MS")
             .ok()
             .and_then(|v| v.parse::<u64>().ok())
             .unwrap_or(DEFAULT_TIMEOUT_MS);
-        let single = std::env::var("GILLIAN_SMT_SINGLE")
-            .map(|v| matches!(v.trim(), "1" | "true" | "on"))
-            .unwrap_or(false);
         SmtOptions {
             command: None,
             timeout: Duration::from_millis(timeout),
-            per_worker: !single,
         }
     }
 }
@@ -720,27 +705,21 @@ impl SpawnHealth {
 /// The shared SMT bridge of one [`crate::Solver`] hub. Cheap to clone via
 /// `Arc`.
 ///
-/// In **per-worker** mode (the default) each solve checks a process out of
-/// an idle pool — or spawns a fresh one seeded with the shared prelude —
-/// so concurrent obligation workers never serialise on a hub mutex; the
-/// naming tables (constructor tags, opaque constants) stay shared and are
-/// locked only for the microseconds of rendering, keeping names stable
-/// across every process. Idle processes are checked out by longest shared scope
-/// prefix, so a worker usually gets a process already synced to most of its
-/// branch. In **single** mode (`GILLIAN_SMT_SINGLE=1`, or
-/// `SmtOptions::per_worker = false`) the pre-pool behaviour is kept: one
-/// process behind a mutex held for the whole solve.
+/// Each solve checks a process out of an idle pool — or spawns a fresh one
+/// seeded with the shared prelude — so concurrent obligation workers never
+/// serialise on a hub mutex; the naming tables (constructor tags, opaque
+/// constants) stay shared and are locked only for the microseconds of
+/// rendering, keeping names stable across every process. Idle processes
+/// are checked out by longest shared scope prefix, so a worker usually gets
+/// a process already synced to most of its branch.
 pub struct SmtShared {
     cmd: Option<SmtCommand>,
     timeout: Duration,
-    per_worker: bool,
     /// Naming tables shared by every process (stable across respawns).
     tables: Mutex<RenderTables>,
     health: Mutex<SpawnHealth>,
-    /// Idle processes (per-worker mode).
+    /// Idle processes.
     idle: Mutex<Vec<SmtProcess>>,
-    /// The one shared process (single mode); the mutex serialises solves.
-    single: Mutex<Option<SmtProcess>>,
     /// Total processes spawned over the bridge's lifetime (telemetry/tests).
     spawned: std::sync::atomic::AtomicU64,
 }
@@ -797,11 +776,9 @@ impl SmtShared {
         SmtShared {
             cmd,
             timeout: opts.timeout,
-            per_worker: opts.per_worker,
             tables: Mutex::new(RenderTables::default()),
             health: Mutex::new(SpawnHealth::default()),
             idle: Mutex::new(Vec::new()),
-            single: Mutex::new(None),
             spawned: std::sync::atomic::AtomicU64::new(0),
         }
     }
@@ -811,11 +788,9 @@ impl SmtShared {
         SmtShared {
             cmd: None,
             timeout: Duration::from_millis(DEFAULT_TIMEOUT_MS),
-            per_worker: true,
             tables: Mutex::new(RenderTables::default()),
             health: Mutex::new(SpawnHealth::default()),
             idle: Mutex::new(Vec::new()),
-            single: Mutex::new(None),
             spawned: std::sync::atomic::AtomicU64::new(0),
         }
     }
@@ -843,49 +818,27 @@ impl SmtShared {
         self.spawned.load(Ordering::Relaxed)
     }
 
-    /// Is this bridge running one process per worker (vs the single shared
-    /// process fallback)?
-    pub fn per_worker(&self) -> bool {
-        self.per_worker
-    }
-
     /// Runs one `(check-sat)` for the given scoped assertion stack,
     /// re-syncing a process as needed. Never blocks longer than the time
     /// box (plus scheduling noise): on deadline the process is killed and
     /// the answer is [`SmtAnswer::Timeout`].
     ///
-    /// Per-worker mode checks a process out of the idle pool (or spawns
-    /// one), so concurrent callers each drive their own process; single
-    /// mode serialises callers on the shared process's mutex.
+    /// The process comes out of the idle pool (or is spawned), so
+    /// concurrent callers each drive their own process.
     fn check(&self, arena: &TermArena, scopes: &[Vec<TermId>]) -> SmtAnswer {
         if self.cmd.is_none() {
             return SmtAnswer::Died;
         }
-        if self.per_worker {
-            let Some(mut proc) = self.checkout(scopes) else {
-                return SmtAnswer::Died;
-            };
-            let answer = self.drive(&mut proc, arena, scopes);
-            if !matches!(answer, SmtAnswer::Timeout | SmtAnswer::Died) {
-                self.idle.lock().unwrap().push(proc);
-            }
-            // A timed-out/dead process was already killed; dropping it here
-            // reaps it, and the next query spawns a replacement.
-            answer
-        } else {
-            let mut slot = self.single.lock().unwrap();
-            if slot.is_none() {
-                *slot = self.spawn_one();
-            }
-            let Some(proc) = slot.as_mut() else {
-                return SmtAnswer::Died;
-            };
-            let answer = self.drive(proc, arena, scopes);
-            if matches!(answer, SmtAnswer::Timeout | SmtAnswer::Died) {
-                *slot = None;
-            }
-            answer
+        let Some(mut proc) = self.checkout(scopes) else {
+            return SmtAnswer::Died;
+        };
+        let answer = self.drive(&mut proc, arena, scopes);
+        if !matches!(answer, SmtAnswer::Timeout | SmtAnswer::Died) {
+            self.idle.lock().unwrap().push(proc);
         }
+        // A timed-out/dead process was already killed; dropping it here
+        // reaps it, and the next query spawns a replacement.
+        answer
     }
 
     /// Takes an idle process — preferring the one whose mirrored stack
@@ -1014,7 +967,7 @@ impl SmtShared {
 /// The hybrid SMT-LIB backend: the in-repo kernel first (exact for the
 /// fragment the case studies need, and always available), the external
 /// process for whatever the kernel cannot refute. See the module docs for
-/// the soundness argument and the timeout/abandonment contract.
+/// the soundness argument and the timeout contract.
 pub struct SmtBackend {
     kernel: IncrementalStateBackend,
     shared: Arc<SmtShared>,
@@ -1022,7 +975,6 @@ pub struct SmtBackend {
     /// Simplified ids in assertion order (the process mirrors these).
     raw: Vec<TermId>,
     scopes: Vec<usize>,
-    last_complete: bool,
 }
 
 impl std::fmt::Debug for SmtBackend {
@@ -1043,7 +995,6 @@ impl SmtBackend {
             stats,
             raw: Vec::new(),
             scopes: Vec::new(),
-            last_complete: true,
         }
     }
 
@@ -1085,41 +1036,22 @@ impl SolverBackend for SmtBackend {
 
     fn check_unsat(&mut self, arena: &TermArena) -> bool {
         if self.kernel.check_unsat(arena) {
-            self.last_complete = true;
             return true;
         }
-        let kernel_complete = self.kernel.last_query_complete();
         if !self.shared.is_available() {
-            self.last_complete = kernel_complete;
             return false;
         }
         self.stats.smt_queries.fetch_add(1, Ordering::Relaxed);
         match self.shared.check(arena, &self.scope_view()) {
             SmtAnswer::Unsat => {
                 self.stats.smt_unsat.fetch_add(1, Ordering::Relaxed);
-                self.last_complete = true;
                 true
             }
-            SmtAnswer::Sat => {
-                // A definitive model of the abstraction: as final as the
-                // kernel's own exploration, so the kernel's completeness
-                // decides cacheability.
-                self.last_complete = kernel_complete;
-                false
-            }
-            SmtAnswer::Unknown => {
-                // The solver gave up within its limits; a retry (possibly
-                // by a parked waiter) may do better, so never cache this.
-                self.last_complete = false;
-                false
-            }
+            SmtAnswer::Sat | SmtAnswer::Unknown => false,
             SmtAnswer::Timeout | SmtAnswer::Died => {
-                // The time box fired or the process died: report the query
-                // incomplete so the caching decorator ABANDONS its
-                // in-flight entry — parked workers must recompute, not
-                // hang on a solve that will never settle.
+                // The time box fired or the process died (and was killed):
+                // the verdict falls back to the kernel's.
                 self.stats.smt_failures.fetch_add(1, Ordering::Relaxed);
-                self.last_complete = false;
                 false
             }
         }
@@ -1134,10 +1066,6 @@ impl SolverBackend for SmtBackend {
         self.kernel.congruent(arena, a, b)
     }
 
-    fn last_query_complete(&self) -> bool {
-        self.last_complete
-    }
-
     fn assertions(&self) -> &[TermId] {
         self.kernel.assertions()
     }
@@ -1149,7 +1077,6 @@ impl SolverBackend for SmtBackend {
             stats: Arc::clone(&self.stats),
             raw: self.raw.clone(),
             scopes: self.scopes.clone(),
-            last_complete: self.last_complete,
         })
     }
 }
@@ -1257,7 +1184,6 @@ mod tests {
         let shared = SmtShared::new(&SmtOptions {
             command: Some(vec![]),
             timeout: Duration::from_millis(100),
-            per_worker: true,
         });
         assert!(!shared.is_available());
     }
@@ -1274,7 +1200,6 @@ mod tests {
         let f2 = arena.intern(&Expr::eq(x, Expr::Int(2)));
         b.assert(&arena, f1);
         assert!(!b.check_unsat(&arena));
-        assert!(b.last_query_complete());
         b.push();
         b.assert(&arena, f2);
         assert!(b.check_unsat(&arena));
@@ -1329,7 +1254,6 @@ mod tests {
         let shared = Arc::new(SmtShared::new(&SmtOptions {
             command: Some(vec![script.to_string_lossy().into_owned()]),
             timeout: Duration::from_secs(5),
-            per_worker: true,
         }));
         assert!(shared.is_available());
         let stats = Arc::new(AtomicSolverStats::default());
@@ -1342,16 +1266,14 @@ mod tests {
         let f = arena.intern(&Expr::le(x.clone(), x.clone()));
         b.assert(&arena, f);
         assert!(b.check_unsat(&arena), "the stub answers unsat");
-        assert!(b.last_query_complete());
         let snap = stats.snapshot();
         assert_eq!(snap.smt_queries, 1);
         assert_eq!(snap.smt_unsat, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A stub that never answers: the time box must fire, the verdict must
-    /// fall back to the kernel's, and the query must be reported incomplete
-    /// (so in-flight cache entries are abandoned, not published).
+    /// A stub that never answers: the time box must fire and the verdict
+    /// must fall back to the kernel's.
     #[test]
     #[cfg(unix)]
     fn hung_stub_times_out_and_reports_incomplete() {
@@ -1365,7 +1287,6 @@ mod tests {
         let shared = Arc::new(SmtShared::new(&SmtOptions {
             command: Some(vec![script.to_string_lossy().into_owned()]),
             timeout: Duration::from_millis(200),
-            per_worker: true,
         }));
         let stats = Arc::new(AtomicSolverStats::default());
         let arena = TermArena::new();
@@ -1379,10 +1300,6 @@ mod tests {
         assert!(
             start.elapsed() < Duration::from_secs(5),
             "the time box must fire promptly"
-        );
-        assert!(
-            !b.last_query_complete(),
-            "a timed-out solve must be incomplete so cache entries are abandoned"
         );
         assert_eq!(stats.snapshot().smt_failures, 1);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1403,7 +1320,6 @@ mod tests {
         let shared = SmtShared::new(&SmtOptions {
             command: Some(vec![script.to_string_lossy().into_owned()]),
             timeout: Duration::from_millis(200),
-            per_worker: true,
         });
         assert!(shared.is_available(), "configured bridges start available");
         for _ in 0..SPAWN_FAILURE_THRESHOLD {

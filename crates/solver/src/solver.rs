@@ -1,17 +1,16 @@
 //! The solver entry points used by the symbolic-execution engine.
 //!
 //! [`Solver`] is the *shared hub* of a verification session: the hash-consing
-//! [`TermArena`], the canonical query cache and the aggregated statistics,
-//! plus the selected [`BackendKind`]. It answers no query itself — callers
-//! obtain a branch-scoped [`SolverCtx`] via [`Solver::ctx`] and interact with
-//! that:
+//! [`TermArena`] and the aggregated statistics, plus the selected
+//! [`BackendKind`]. It answers no query itself — callers obtain a
+//! branch-scoped [`SolverCtx`] via [`Solver::ctx`] and interact with that:
 //!
 //! * facts are interned once ([`SolverCtx::assert_expr`] /
 //!   [`SolverCtx::assume`]) when the engine learns them, not re-walked per
 //!   query;
 //! * the engine opens a scope at each branch point ([`SolverCtx::push`]) and
-//!   clones the context when execution forks (clones share the arena, cache
-//!   and statistics but own their assertion stack);
+//!   clones the context when execution forks (clones share the arena and
+//!   statistics but own their assertion stack);
 //! * queries ([`SolverCtx::check_unsat`], [`SolverCtx::entails`],
 //!   [`SolverCtx::must_equal`], …) run against the asserted facts in place;
 //! * search heuristics that only propose or rank candidates ask the cheaper
@@ -26,15 +25,14 @@
 
 use crate::arena::{TermArena, TermId};
 use crate::backend::{
-    AtomicSolverStats, BackendKind, CachingBackend, IncrementalStateBackend, OneShotBackend,
-    QueryCache, SolverBackend, SolverStats,
+    AtomicSolverStats, BackendKind, IncrementalStateBackend, OneShotBackend, SolverBackend,
+    SolverStats,
 };
 use crate::expr::Expr;
 use crate::smtlib::{SmtBackend, SmtOptions, SmtShared};
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 
 /// Outcome of a satisfiability query.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -46,17 +44,16 @@ pub enum SatResult {
     Unknown,
 }
 
-/// The shared solver hub. Cheap to clone (clones share the arena, cache and
+/// The shared solver hub. Cheap to clone (clones share the arena and
 /// statistics) and `Sync`: one hub serves every worker thread of the parallel
 /// batch verifier, each through its own [`SolverCtx`] handles.
 #[derive(Clone, Debug)]
 pub struct Solver {
     arena: Arc<TermArena>,
     stats: Arc<AtomicSolverStats>,
-    cache: QueryCache,
     kind: BackendKind,
-    /// The external SMT bridge (one process shared by every context of the
-    /// hub). Only built for [`BackendKind::SmtLib`].
+    /// The external SMT bridge (the process pool shared by every context of
+    /// the hub). Only built for [`BackendKind::SmtLib`].
     smt: Option<Arc<SmtShared>>,
     /// Maximum number of leaf cases explored per query.
     pub case_budget: usize,
@@ -92,7 +89,6 @@ impl Solver {
         Solver {
             arena: Arc::new(TermArena::new()),
             stats: Arc::new(AtomicSolverStats::default()),
-            cache: Arc::new(RwLock::new(HashMap::new())),
             kind,
             smt,
             case_budget: 512,
@@ -143,7 +139,7 @@ impl Solver {
             .fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Resets the statistics counters (the cache and arena are kept).
+    /// Resets the statistics counters (the arena is kept).
     pub fn reset_stats(&self) {
         self.stats.reset();
     }
@@ -159,32 +155,18 @@ impl Solver {
                 Arc::clone(&self.stats),
                 self.case_budget,
             )),
-            BackendKind::CachedIncremental => Box::new(CachingBackend::new(
-                Box::new(IncrementalStateBackend::new(
-                    Arc::clone(&self.stats),
-                    self.case_budget,
-                )),
-                Arc::clone(&self.cache),
-                Arc::clone(&self.stats),
-                BackendKind::CachedIncremental.label(),
-            )),
             BackendKind::SmtLib => {
                 // Invariant from `with_backend_and_smt`: an SmtLib hub
                 // always carries the shared bridge — a silent per-context
-                // fallback here would split the one-process-per-hub state.
+                // fallback here would split the hub's process pool.
                 let shared = self
                     .smt
                     .clone()
                     .expect("an SmtLib solver hub always carries its shared SMT bridge");
-                Box::new(CachingBackend::new(
-                    Box::new(SmtBackend::new(
-                        Arc::clone(&self.stats),
-                        self.case_budget,
-                        shared,
-                    )),
-                    Arc::clone(&self.cache),
+                Box::new(SmtBackend::new(
                     Arc::clone(&self.stats),
-                    BackendKind::SmtLib.label(),
+                    self.case_budget,
+                    shared,
                 ))
             }
         };
@@ -198,8 +180,8 @@ impl Solver {
 }
 
 /// A branch-scoped solver context: the handle every engine and state-model
-/// query goes through. Owns a backend (assertion stack); shares the arena,
-/// cache and statistics with its [`Solver`] and with clones of itself.
+/// query goes through. Owns a backend (assertion stack); shares the arena
+/// and statistics with its [`Solver`] and with clones of itself.
 ///
 /// Query methods take `&self` — the backend sits behind a [`RefCell`] so the
 /// context can be threaded immutably through the state model alongside
@@ -363,8 +345,8 @@ impl SolverCtx {
     /// [`SolverCtx::must_equal`] for search heuristics that propose or rank
     /// candidates: `true` implies `must_equal`, but an equality that holds
     /// only through arithmetic or a case split reads `false`. It runs no
-    /// case split and no linear solve, touches no cache, leaves no trace in
-    /// the context, and is not counted as a query.
+    /// case split and no linear solve, leaves no trace in the context, and
+    /// is not counted as a query.
     pub fn congruent(&self, a: &Expr, b: &Expr) -> bool {
         let sa = self.arena.simplify(self.arena.intern(a));
         let sb = self.arena.simplify(self.arena.intern(b));
@@ -755,15 +737,24 @@ mod tests {
         // `x <= usize::MAX` and `usize::MAX * x >= 1` hold at x = 1.
         // Eliminating x multiplies the two coefficients, and 2^128 does not
         // fit in i128: a wrapped product would read as a contradiction.
+        // `x == usize::MAX + 1` and `usize::MAX * x >= 1` hold at x = 2^64:
+        // the congruence closure rewrites `x` to its constant, and folding
+        // the product of the two literals overflows i128 the same way.
         let max = Expr::Int(u64::MAX as i128);
-        for kind in BackendKind::ALL {
-            let hub = Solver::with_backend(kind);
-            let ctx = hub.ctx();
-            let x = Expr::lvar("x");
-            ctx.assert_expr(&Expr::le(x.clone(), max.clone()));
-            ctx.assert_expr(&Expr::ge(Expr::mul(max.clone(), x), Expr::Int(1)));
-            assert!(!ctx.check_unsat(), "{kind}: the facts hold at x = 1");
-            assert!(!ctx.entails(&Expr::Bool(false)), "{kind}: entails false");
+        let x = Expr::lvar("x");
+        let bounds = [
+            Expr::le(x.clone(), max.clone()),
+            Expr::eq(x.clone(), Expr::Int(u64::MAX as i128 + 1)),
+        ];
+        for bound in bounds {
+            for kind in BackendKind::ALL {
+                let hub = Solver::with_backend(kind);
+                let ctx = hub.ctx();
+                ctx.assert_expr(&bound);
+                ctx.assert_expr(&Expr::ge(Expr::mul(max.clone(), x.clone()), Expr::Int(1)));
+                assert!(!ctx.check_unsat(), "{kind}: {bound} has a model");
+                assert!(!ctx.entails(&Expr::Bool(false)), "{kind}: entails false");
+            }
         }
     }
 
@@ -878,81 +869,6 @@ mod tests {
         branch.assert_expr(&Expr::eq(x.clone(), Expr::Int(0)));
         assert!(!branch.feasible());
         assert!(ctx.feasible(), "sibling branch is unaffected");
-    }
-
-    #[test]
-    fn cache_key_is_order_insensitive() {
-        // The PR-1 cache keyed on the literal fact vector, so permuted fact
-        // orders missed. The canonical TermId-set key must hit.
-        let hub = Solver::with_backend(BackendKind::CachedIncremental);
-        let mut g = VarGen::new();
-        let x = g.fresh_expr();
-        let a = Expr::eq(x.clone(), Expr::Int(5));
-        let b = Expr::lt(Expr::Int(0), x.clone());
-        let goal = Expr::lt(x.clone(), Expr::Int(10));
-
-        let ctx1 = hub.ctx();
-        ctx1.assert_expr(&a);
-        ctx1.assert_expr(&b);
-        assert!(ctx1.entails(&goal));
-        let hits_before = hub.stats().cache_hits;
-
-        // Same facts, opposite order, fresh context.
-        let ctx2 = hub.ctx();
-        ctx2.assert_expr(&b);
-        ctx2.assert_expr(&a);
-        assert!(ctx2.entails(&goal));
-        assert!(
-            hub.stats().cache_hits > hits_before,
-            "permuted assertion order must hit the canonical cache"
-        );
-    }
-
-    #[test]
-    fn duplicate_facts_share_a_cache_entry() {
-        let hub = Solver::with_backend(BackendKind::CachedIncremental);
-        let mut g = VarGen::new();
-        let x = g.fresh_expr();
-        let a = Expr::eq(x.clone(), Expr::Int(5));
-
-        let ctx1 = hub.ctx();
-        ctx1.assert_expr(&a);
-        let _ = ctx1.check_unsat();
-        let hits_before = hub.stats().cache_hits;
-
-        let ctx2 = hub.ctx();
-        ctx2.assert_expr(&a);
-        ctx2.assert_expr(&a); // deduplicated by the canonical key
-        let _ = ctx2.check_unsat();
-        assert!(hub.stats().cache_hits > hits_before);
-    }
-
-    #[test]
-    fn cached_backend_explores_fewer_leaf_cases() {
-        let mut g = VarGen::new();
-        let x = g.fresh_expr();
-        let facts = [
-            Expr::eq(x.clone(), Expr::Int(1)),
-            Expr::eq(x.clone(), Expr::Int(2)),
-        ];
-        let run = |kind: BackendKind| {
-            let hub = Solver::with_backend(kind);
-            let ctx = hub.ctx();
-            for f in &facts {
-                ctx.assert_expr(f);
-            }
-            // The same query repeated: the cache answers the repeats.
-            for _ in 0..5 {
-                assert!(ctx.check_unsat());
-            }
-            hub.stats().cases_explored
-        };
-        let one_shot = run(BackendKind::OneShot);
-        let cached = run(BackendKind::CachedIncremental);
-        assert!(
-            cached < one_shot,
-            "cached {cached} must explore strictly fewer leaf cases than one-shot {one_shot}"
-        );
     }
 
     #[test]

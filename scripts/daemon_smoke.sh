@@ -16,6 +16,10 @@
 #     Pearlite sum (`result@ == x@ + x@ + …`) is rejected with `"ok":false`,
 #     and the daemon keeps serving: the next `verify` and the `shutdown`
 #     are answered,
+#   * long-input leg: requests whose command, workload, mode, target or
+#     function name is 100,000 characters long, and a 100,000-character
+#     number, are each rejected on a response line under 1 KB, and the
+#     `shutdown` after them is answered,
 #   * restart leg: a NEW daemon process over the same --cache-dir hydrates
 #     every target from disk and its first `verify` re-proves nothing,
 #   * SIGTERM leg: a daemon killed with SIGTERM (no `shutdown` request)
@@ -139,6 +143,36 @@ cline 3 | grep -q '"all_verified":true' \
     || fail "chain leg: verify is answered after the rejected edit"
 cline 4 | grep -q '"bye":true' || fail "chain leg: shutdown acknowledged"
 
+# ---- Long-input leg: errors quote a bounded prefix of the request. ---------
+# Every error that names a request string (an unknown command, workload,
+# mode, target or function, a malformed number) quotes at most a short
+# prefix of it, so a 100,000-character value cannot make a 100 KB response.
+
+LONG="$(head -c 100000 </dev/zero | tr '\0' q)"
+EEE="$(head -c 100000 </dev/zero | tr '\0' e)"
+LONG_OUT="$(printf '%s\n' \
+    '{"id":1,"cmd":"load","workload":"chain","workers":1}' \
+    '{"id":2,"cmd":"'"$LONG"'"}' \
+    '{"id":3,"cmd":"load","workload":"'"$LONG"'"}' \
+    '{"id":4,"cmd":"load","workload":"chain","mode":"'"$LONG"'"}' \
+    '{"id":5,"cmd":"verify","targets":["'"$LONG"'"]}' \
+    '{"id":6,"cmd":"update_spec","fn":"'"$LONG"'","requires":["x@ < 2000"],"ensures":["result@ == x@ + 1"]}' \
+    '{"id":7,"cmd":"update_fn","fn":"'"$LONG"'"}' \
+    '{"id":8,"cmd":"verify","force":1'"$EEE"'}' \
+    '{"id":9,"cmd":"shutdown"}' \
+    | "$BIN" serve)" || fail "long-input leg: the daemon died"
+
+cut -c1-200 <<<"$LONG_OUT"
+[[ "$(wc -l <<<"$LONG_OUT")" -eq 9 ]] || fail "long-input leg: expected 9 response lines"
+gline() { sed -n "${1}p" <<<"$LONG_OUT"; }
+gline 1 | grep -q '"ok":true' || fail "long-input leg: load chain"
+for n in 2 3 4 5 6 7 8; do
+    gline "$n" | grep -q '"ok":false' || fail "long-input leg: request $n must be rejected"
+    [[ "$(gline "$n" | LC_ALL=C wc -c)" -lt 1024 ]] \
+        || fail "long-input leg: response $n is $(gline "$n" | LC_ALL=C wc -c) bytes, not under 1 KB"
+done
+gline 9 | grep -q '"bye":true' || fail "long-input leg: shutdown acknowledged"
+
 # ---- Restart leg: proofs survive the death of the daemon. -------------------
 # Two full daemon lifetimes over one cache directory: the first proves cold
 # and persists on shutdown; the second — a fresh process — hydrates from
@@ -219,4 +253,4 @@ sed -n 2p <<<"$SIG_OUT" | grep -q '"reverified":\[\]' \
 sed -n 2p <<<"$SIG_OUT" | grep -q '"cached":\["base","inc","inc2"\]' \
     || fail "sigterm leg: successor daemon must answer everything from the flush"
 
-echo "daemon_smoke: OK (including chain, restart and SIGTERM legs)"
+echo "daemon_smoke: OK (including chain, long-input, restart and SIGTERM legs)"

@@ -198,10 +198,10 @@ fn load_ignores_a_branch_parallelism_key() {
     assert_eq!(keyed, plain);
 }
 
-/// Satellite: per-request solver deltas. After a warm-up pass saturates the
-/// canonical query cache, two identical forced verifies do identical solver
-/// work — every delta counter matches except `kernel_nanos`, which measures
-/// wall time inside the kernel and is excluded by design.
+/// Satellite: per-request solver deltas. After a warm-up pass, two
+/// identical forced verifies do identical solver work — every delta counter
+/// matches except `kernel_nanos`, which measures wall time inside the
+/// kernel and is excluded by design.
 #[test]
 fn identical_requests_report_identical_solver_deltas() {
     let mut core = ServerCore::new();
@@ -215,7 +215,7 @@ fn identical_requests_report_identical_solver_deltas() {
     assert_eq!(first, second, "identical requests, identical solver work");
     assert_eq!(
         first.len(),
-        14,
+        13,
         "all non-timing counters are compared (incl. the disk-cache trio, the absint pair and smt_reenabled)"
     );
 

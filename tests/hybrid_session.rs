@@ -176,8 +176,8 @@ fn table1_parallel_batch_matches_serial_rows() {
 
 /// Table 1 at 1 and 4 obligation workers: identical verdicts, diagnostic
 /// fingerprints and kernel leaf cases, row by row. Every row owns its
-/// solver hub, and the caching backend computes each distinct query once
-/// (concurrent askers park on the in-flight entry), so the leaf-case count
+/// solver hub, and every query is answered from its own context's
+/// assertion stack (no answer crosses obligations), so the leaf-case count
 /// is exact whatever the interleaving.
 #[test]
 fn table1_is_deterministic_across_obligation_worker_counts() {
@@ -261,9 +261,9 @@ fn backends_agree_on_mixed_batch_verdicts() {
 }
 
 /// The full Table 1 suite under every in-repo backend: verdicts and
-/// diagnostic fingerprints are identical target by target, and the cached
-/// incremental backend explores strictly fewer kernel leaf cases over the
-/// suite than the one-shot reference. The smtlib column of the same
+/// diagnostic fingerprints are identical target by target, and the
+/// incremental-state backend explores strictly fewer kernel leaf cases over
+/// the suite than the one-shot reference. The smtlib column of the same
 /// identity is `table1_verdicts_identical_under_smtlib` in
 /// `tests/smt_backend.rs`, which needs a real solver.
 #[test]
@@ -297,32 +297,12 @@ fn table1_verdicts_identical_under_every_backend() {
             outcomes, reference,
             "{kind} disagrees with one-shot on Table 1"
         );
-        if kind == BackendKind::CachedIncremental {
+        if kind == BackendKind::IncrementalState {
             assert!(
                 leaf_cases < one_shot,
-                "cached incremental explored {leaf_cases} Table 1 leaf cases, one-shot {one_shot}: expected strictly fewer"
+                "incremental-state explored {leaf_cases} Table 1 leaf cases, one-shot {one_shot}: expected strictly fewer"
             );
         }
-    }
-}
-
-/// Determinism with the caching backend enabled: 1 worker and N workers —
-/// which interleave their queries through the shared canonical cache in
-/// different orders — produce identical verdicts and diagnostics.
-#[test]
-fn caching_backend_is_deterministic_across_worker_counts() {
-    let serial = mixed_even_int_session(1)
-        .with_backend(BackendKind::CachedIncremental)
-        .verify_all();
-    let parallel = mixed_even_int_session(4)
-        .with_backend(BackendKind::CachedIncremental)
-        .verify_all();
-    assert_eq!(serial.cases.len(), parallel.cases.len());
-    for (s, p) in serial.cases.iter().zip(parallel.cases.iter()) {
-        assert_eq!(s.name(), p.name());
-        assert_eq!(s.verified(), p.verified(), "verdict of {}", s.name());
-        let fp = |c: &driver::CaseOutcome| c.diagnostic().map(|d| d.fingerprint());
-        assert_eq!(fp(s), fp(p), "diagnostic of {}", s.name());
     }
 }
 
@@ -345,20 +325,16 @@ fn backend_selector_and_solver_stats_are_reported() {
     assert!(report.all_verified(), "{}", report.render_text());
     assert_eq!(report.backend, BackendKind::OneShot);
     assert!(report.solver.queries() > 0, "queries are counted");
-    assert_eq!(report.solver.cache_hits, 0, "one-shot has no cache");
     assert!(report.to_json().contains("\"backend\":\"one-shot\""));
 
     // Swapping the backend on the built session re-runs on a fresh hub.
-    let cached = linked_list_hybrid_session()
-        .with_backend(BackendKind::CachedIncremental)
+    let default = linked_list_hybrid_session()
+        .with_backend(BackendKind::default())
         .verify_all();
-    assert!(cached.all_verified());
-    assert!(
-        cached.solver.cache_hits > 0,
-        "the cached backend hits its canonical cache on real workloads"
-    );
+    assert!(default.all_verified());
+    assert_eq!(default.backend, BackendKind::IncrementalState);
     // Never more raw work than the baseline; the *strictly*-fewer contract
     // over the whole Table 1 suite is
     // `table1_verdicts_identical_under_every_backend`.
-    assert!(cached.solver.cases_explored <= report.solver.cases_explored);
+    assert!(default.solver.cases_explored <= report.solver.cases_explored);
 }

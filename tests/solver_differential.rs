@@ -25,8 +25,14 @@
 //! At every query point on a satisfiable path the runner also probes the
 //! closure lookup `congruent` on a few term pairs: it must imply
 //! `must_equal`, and the two backends must give the same answer.
+//!
+//! Agreement between backends cannot catch a bug they share, so a model
+//! oracle checks every backend against concrete arithmetic too: a
+//! refutation or an entailment must have no counter-model among small
+//! integer assignments ([`refutations_have_no_model_in_a_small_box`]).
 
-use gillian_solver::{BackendKind, Expr, Solver, SolverCtx};
+use gillian_solver::{eval, BackendKind, Env, Expr, SVar, Solver, SolverCtx, Value, VarGen};
+use std::collections::HashMap;
 
 /// A tiny deterministic linear congruential generator.
 struct Lcg(u64);
@@ -427,4 +433,217 @@ fn case_splits_and_push_pop_tower_answer_alike_on_every_backend() {
         let hub = Solver::with_backend(kind);
         push_pop_tower(&hub.ctx(), kind, 60);
     }
+}
+
+/// Side of the oracle's box: every variable ranges over `-BOX..=BOX`.
+const BOX: i128 = 4;
+
+/// Constants next to the `usize`/`i64` bounds, where a wrapped product
+/// would read as a contradiction.
+const BIG: [i128; 5] = [
+    u64::MAX as i128,
+    u64::MAX as i128 + 1,
+    i64::MAX as i128,
+    i64::MIN as i128,
+    -(u64::MAX as i128),
+];
+
+/// A linear atom over the oracle's variables: `c1·a + c2·b + k ⋈ r` with
+/// coefficients in `-3..=3`, or one of the near-bound shapes
+/// (`v <= usize::MAX`, `usize::MAX·v >= 1`, `v + B ⋈ B + k`, …). A `unit`
+/// atom is never a disequality, which the case split would split.
+fn box_atom(g: &mut Lcg, vars: &[Expr], unit: bool) -> Expr {
+    let v = |g: &mut Lcg| vars[g.below(vars.len() as u64) as usize].clone();
+    let small = |g: &mut Lcg| Expr::Int(g.below(2 * BOX as u64 + 1) as i128 - BOX);
+    let coef = |g: &mut Lcg| g.below(7) as i128 - 3;
+    let cmp = |g: &mut Lcg, a: Expr, b: Expr| match g.below(if unit { 5 } else { 6 }) {
+        0 => Expr::eq(a, b),
+        1 => Expr::lt(a, b),
+        2 => Expr::le(a, b),
+        3 => Expr::gt(a, b),
+        4 => Expr::ge(a, b),
+        _ => Expr::ne(a, b),
+    };
+    if g.below(5) == 0 {
+        let big = Expr::Int(BIG[g.below(BIG.len() as u64) as usize]);
+        let x = v(g);
+        return match g.below(3) {
+            0 => cmp(g, x, big),
+            1 => {
+                let k = small(g);
+                cmp(g, Expr::mul(big, x), k)
+            }
+            _ => {
+                let k = small(g);
+                cmp(g, Expr::add(x, big.clone()), Expr::add(big, k))
+            }
+        };
+    }
+    let mut lhs = Expr::mul(Expr::Int(coef(g)), v(g));
+    if g.below(2) == 0 {
+        lhs = Expr::add(lhs, Expr::mul(Expr::Int(coef(g)), v(g)));
+    }
+    if g.below(2) == 0 {
+        lhs = Expr::add(lhs, small(g));
+    }
+    let rhs = if g.below(3) == 0 { v(g) } else { small(g) };
+    cmp(g, lhs, rhs)
+}
+
+/// A fact for the oracle: mostly atoms, sometimes a disjunction, an
+/// implication, a conjunction or a negation. `structured` counts the
+/// splittable literals of a run; past five, the fact is a unit atom, which
+/// keeps every case split small.
+fn box_fact(g: &mut Lcg, vars: &[Expr], structured: &mut usize) -> Expr {
+    let f = match g.below(8) {
+        0 => Expr::or(box_atom(g, vars, false), box_atom(g, vars, false)),
+        1 => Expr::implies(box_atom(g, vars, false), box_atom(g, vars, false)),
+        2 => Expr::and(box_atom(g, vars, false), box_atom(g, vars, false)),
+        3 => Expr::not(box_atom(g, vars, false)),
+        _ => box_atom(g, vars, false),
+    };
+    let parts = splittable_parts(&f);
+    if *structured + parts <= 5 {
+        *structured += parts;
+        return f;
+    }
+    box_atom(g, vars, true)
+}
+
+/// The oracle's box: every assignment of four variables over
+/// `-BOX..=BOX`, point `i` giving variable `j` the `j`-th base-`SIDE` digit
+/// of `i`.
+struct ModelBox {
+    vars: Vec<SVar>,
+    envs: Vec<Env>,
+}
+
+const SIDE: usize = 2 * BOX as usize + 1;
+
+impl ModelBox {
+    fn new(vars: Vec<SVar>) -> ModelBox {
+        let envs = (0..SIDE.pow(vars.len() as u32))
+            .map(|mut i| {
+                let mut env = Env::new();
+                for &v in &vars {
+                    env.bind(v, Value::Int((i % SIDE) as i128 - BOX));
+                    i /= SIDE;
+                }
+                env
+            })
+            .collect();
+        ModelBox { vars, envs }
+    }
+
+    /// The points of `points` at which `e` evaluates to `b`. An expression
+    /// without a value (an overflow) is neither `true` nor `false`. `e` is
+    /// evaluated once per assignment of the variables it mentions, at the
+    /// point that gives every other variable digit 0, which `e` cannot see.
+    fn filter(&self, e: &Expr, b: bool, points: &[usize]) -> Vec<usize> {
+        let seen = e.svars();
+        let mut memo = HashMap::new();
+        let mut holds = |p: usize| {
+            let (mut key, mut place, mut rest) = (0, 1, p);
+            for v in &self.vars {
+                if seen.contains(v) {
+                    key += rest % SIDE * place;
+                }
+                rest /= SIDE;
+                place *= SIDE;
+            }
+            *memo
+                .entry(key)
+                .or_insert_with(|| eval(e, &self.envs[key]) == Some(Value::Bool(b)))
+        };
+        points.iter().copied().filter(|&p| holds(p)).collect()
+    }
+}
+
+/// The model oracle. Seeded sequences of linear facts over four variables,
+/// with `push`/`pop`, run through every in-repo backend. The runner keeps
+/// the assignments in `[-4, 4]⁴` under which every `ctx.path()` fact
+/// evaluates to `true` (filtered fact by fact as the path grows, restored
+/// on `pop`). A `check_unsat` answering `true` must leave no such
+/// assignment; an `entails(goal)` answering `true` must leave none under
+/// which the goal evaluates to `false`. (`interp::eval` has no value for
+/// `LVar`s, so the variables come from a `VarGen`.)
+#[test]
+fn refutations_have_no_model_in_a_small_box() {
+    let mut vg = VarGen::new();
+    let space = ModelBox::new((0..4).map(|_| vg.fresh()).collect());
+    let vars: Vec<Expr> = space.vars.iter().map(|&v| Expr::Var(v)).collect();
+    let (mut refutations, mut entailments) = (0, 0);
+    for seed in 0..200 {
+        let mut g = Lcg::new(seed);
+        let ctxs: Vec<(BackendKind, SolverCtx)> = BackendKind::ALL
+            .iter()
+            .map(|&kind| (kind, Solver::with_backend(kind).ctx()))
+            .collect();
+        // Indices into `envs` of the assignments satisfying the whole path,
+        // and the sets saved at each open scope.
+        let mut models: Vec<usize> = (0..space.envs.len()).collect();
+        let mut saved: Vec<Vec<usize>> = Vec::new();
+        let mut structured = 0;
+        for step in 0..16 {
+            match g.below(10) {
+                0 if saved.len() < 4 => {
+                    saved.push(models.clone());
+                    for (_, ctx) in &ctxs {
+                        ctx.push();
+                    }
+                }
+                1 if !saved.is_empty() => {
+                    models = saved.pop().unwrap();
+                    for (_, ctx) in &ctxs {
+                        ctx.pop();
+                    }
+                }
+                2 | 3 => {
+                    for (kind, ctx) in &ctxs {
+                        if ctx.check_unsat() {
+                            refutations += 1;
+                            assert!(
+                                models.is_empty(),
+                                "seed {seed} step {step}: {kind} refuted {:?}, which holds at {:?}",
+                                ctx.path(),
+                                space.envs[models[0]]
+                            );
+                        }
+                    }
+                }
+                4 => {
+                    let goal = box_fact(&mut g, &vars, &mut 0);
+                    for (kind, ctx) in &ctxs {
+                        if ctx.entails(&goal) {
+                            entailments += 1;
+                            let counter = space.filter(&goal, false, &models);
+                            assert!(
+                                counter.is_empty(),
+                                "seed {seed} step {step}: {kind} entails {goal} from {:?}, which fails at {:?}",
+                                ctx.path(),
+                                counter.first().map(|&m| &space.envs[m])
+                            );
+                        }
+                    }
+                }
+                _ => {
+                    let fact = box_fact(&mut g, &vars, &mut structured);
+                    for (_, ctx) in &ctxs {
+                        ctx.assert_expr(&fact);
+                    }
+                    let path = ctxs[0].1.path();
+                    for (kind, ctx) in &ctxs[1..] {
+                        assert_eq!(ctx.path(), path, "seed {seed}: {kind} stack skew");
+                    }
+                    let last = path.last().expect("the fact was asserted");
+                    models = space.filter(last, true, &models);
+                }
+            }
+        }
+    }
+    // The oracle had something to check.
+    assert!(
+        refutations > 100 && entailments > 100,
+        "{refutations} refutations, {entailments} entailments"
+    );
 }
