@@ -487,9 +487,9 @@ pub fn analyze_proc(proc: &Proc, opts: &AnalysisOptions) -> ProcInvariants {
     }
 }
 
-/// The whole-program invariant table, keyed by procedure name. Implements
-/// the engine's `StaticOracle` (see the crate root) so it can be installed
-/// directly on a `Verifier`.
+/// The whole-program invariant table, keyed by procedure name and built by
+/// [`analyze_prog`]. It is a snapshot: it describes the procedures it was
+/// built from.
 #[derive(Clone, Debug, Default)]
 pub struct InvariantTable {
     pub procs: BTreeMap<Symbol, ProcInvariants>,
@@ -501,19 +501,6 @@ pub struct InvariantTable {
 impl InvariantTable {
     pub fn proc(&self, name: Symbol) -> Option<&ProcInvariants> {
         self.procs.get(&name)
-    }
-
-    /// Re-analyzes a single procedure in place (daemon `update_fn` path)
-    /// and refreshes the table fingerprint.
-    pub fn refresh_proc(&mut self, proc: &Proc, opts: &AnalysisOptions) {
-        self.procs.insert(proc.name, analyze_proc(proc, opts));
-        self.fingerprint = table_fingerprint(&self.procs);
-    }
-
-    pub fn remove_proc(&mut self, name: Symbol) {
-        if self.procs.remove(&name).is_some() {
-            self.fingerprint = table_fingerprint(&self.procs);
-        }
     }
 }
 
@@ -779,33 +766,5 @@ mod tests {
         let c = analyze_proc(&mk(2), &AnalysisOptions::default());
         assert_eq!(a.fingerprint, b.fingerprint);
         assert_ne!(a.fingerprint, c.fingerprint);
-    }
-
-    #[test]
-    fn table_refresh_updates_fingerprint() {
-        let mut prog = Prog::new();
-        prog.add_proc(Proc::new(
-            "f",
-            &[],
-            vec![
-                Cmd::Assign(Symbol::new("x"), Expr::Int(1)),
-                Cmd::Return(pvar("x")),
-            ],
-        ));
-        let opts = AnalysisOptions::default();
-        let mut table = analyze_prog(&prog, &opts);
-        let fp0 = table.fingerprint;
-        table.refresh_proc(
-            &Proc::new(
-                "f",
-                &[],
-                vec![
-                    Cmd::Assign(Symbol::new("x"), Expr::Int(9)),
-                    Cmd::Return(pvar("x")),
-                ],
-            ),
-            &opts,
-        );
-        assert_ne!(table.fingerprint, fp0);
     }
 }

@@ -9,27 +9,23 @@
 //!
 //! The result is an [`InvariantTable`]: for every procedure, the abstract
 //! state holding on entry to every command, with stable cross-process
-//! fingerprints. Three consumers build on it:
+//! fingerprints. Two consumers build on it:
 //!
-//! * **the engine** — the table implements
-//!   [`gillian_engine::engine::StaticOracle`], so a `Verifier` can consult
-//!   it at each symbolic `GotoIf`: statically-infeasible sides are pruned
-//!   without opening a branch scope, conjuncts already proven are dropped
-//!   from the negated else-guard (avoiding needless case splits), and
-//!   interval facts about guard variables are assumed into the branch's
-//!   solver context;
 //! * **the linter** — [`semantic_findings`] derives the GL05x diagnostics
 //!   (guaranteed overflow, division by zero, false asserts, constant
 //!   guards, frozen loop guards) that `gillian-lint` maps to severities;
 //! * **the surfaces** — `gillian analyze` dumps rendered invariants, and
-//!   the daemon recomputes single procedures on edit via
-//!   [`InvariantTable::refresh_proc`].
+//!   the daemon reports the table's fingerprint on `load` and `update_fn`.
+//!
+//! The symbolic-execution engine does not read the table: the solver's
+//! path condition alone decides each symbolic branch.
 //!
 //! Soundness: the analysis assumes nothing at procedure entry and treats
 //! actions and calls as returning `Top` (unless the driver's
 //! `action_bounds` hook supplies machine-integer bounds that the memory
 //! model itself enforces), so every state the engine can reach is inside
-//! the invariant — pruning on it is verdict-preserving by construction.
+//! the invariant, and a guard the analysis decides is decided on every
+//! concrete execution.
 
 pub mod analyze;
 pub mod domain;
@@ -41,141 +37,3 @@ pub use analyze::{
 };
 pub use domain::{AbsState, AbsVal, Interval};
 pub use findings::{semantic_findings, Finding};
-
-use gillian_engine::engine::{BranchAdvice, StaticOracle};
-use gillian_solver::{BinOp, Expr, Symbol};
-
-impl StaticOracle for InvariantTable {
-    fn branch_advice(&self, proc: Symbol, idx: usize, guard: &Expr) -> Option<BranchAdvice> {
-        let state = self.procs.get(&proc)?.state_at(idx)?;
-        let decision = match abs_eval(guard, state) {
-            AbsVal::Bool(b) => b,
-            _ => None,
-        };
-
-        // When the guard is a conjunction with one side proven, the negated
-        // else-guard ¬(a ∧ b) collapses to a single literal instead of a
-        // disjunction the kernel would case-split on.
-        let mut else_assume = None;
-        if decision.is_none() {
-            if let Expr::BinOp(BinOp::And, a, b) = guard {
-                if abs_eval(a, state).truth() == Some(true) {
-                    else_assume = Some(Expr::not((**b).clone()));
-                } else if abs_eval(b, state).truth() == Some(true) {
-                    else_assume = Some(Expr::not((**a).clone()));
-                }
-            }
-        }
-
-        // Interval/constancy facts about the variables the guard reads,
-        // phrased as pure boolean expressions the engine can `assume`.
-        let mut facts = Vec::new();
-        for x in guard.pvars() {
-            let pv = || Expr::PVar(x);
-            match state.get(x) {
-                AbsVal::Int(iv) => {
-                    if let Some(c) = iv.as_const() {
-                        facts.push(Expr::eq(pv(), Expr::Int(c)));
-                    } else {
-                        if let Some(lo) = iv.lo {
-                            facts.push(Expr::le(Expr::Int(lo), pv()));
-                        }
-                        if let Some(hi) = iv.hi {
-                            facts.push(Expr::le(pv(), Expr::Int(hi)));
-                        }
-                    }
-                }
-                AbsVal::Bool(Some(b)) => facts.push(Expr::eq(pv(), Expr::Bool(b))),
-                _ => {}
-            }
-        }
-
-        if decision.is_none() && else_assume.is_none() && facts.is_empty() {
-            return None;
-        }
-        Some(BranchAdvice {
-            decision,
-            else_assume,
-            facts,
-        })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use gillian_engine::gil::{Cmd, LogicCmd, Proc, Prog};
-
-    fn pvar(name: &str) -> Expr {
-        Expr::pvar(name)
-    }
-
-    fn table_for(body: Vec<Cmd>) -> InvariantTable {
-        let mut prog = Prog::new();
-        prog.add_proc(Proc::new("f", &["x"], body));
-        analyze_prog(&prog, &AnalysisOptions::default())
-    }
-
-    #[test]
-    fn oracle_decides_constant_guards() {
-        let guard = Expr::lt(pvar("y"), Expr::Int(10));
-        let table = table_for(vec![
-            Cmd::Assign(Symbol::new("y"), Expr::Int(1)),
-            Cmd::GotoIf {
-                guard: guard.clone(),
-                then_target: 2,
-                else_target: 3,
-            },
-            Cmd::Return(Expr::Int(0)),
-            Cmd::Return(Expr::Int(1)),
-        ]);
-        let advice = table.branch_advice(Symbol::new("f"), 1, &guard).unwrap();
-        assert_eq!(advice.decision, Some(true));
-    }
-
-    #[test]
-    fn oracle_residualises_half_proven_conjunctions() {
-        // 0 <= x assumed; guard (0 <= x) && (x <= 9) has its first conjunct
-        // proven, so the else side needs only ¬(x <= 9).
-        let lo = Expr::le(Expr::Int(0), pvar("x"));
-        let hi = Expr::le(pvar("x"), Expr::Int(9));
-        let guard = Expr::and(lo, hi.clone());
-        let table = table_for(vec![
-            Cmd::Logic(LogicCmd::Assume(Expr::le(Expr::Int(0), pvar("x")))),
-            Cmd::GotoIf {
-                guard: guard.clone(),
-                then_target: 2,
-                else_target: 3,
-            },
-            Cmd::Return(Expr::Int(0)),
-            Cmd::Return(Expr::Int(1)),
-        ]);
-        let advice = table.branch_advice(Symbol::new("f"), 1, &guard).unwrap();
-        assert_eq!(advice.decision, None);
-        assert_eq!(advice.else_assume, Some(Expr::not(hi)));
-        // The known lower bound is seeded as a fact.
-        assert!(
-            advice.facts.contains(&Expr::le(Expr::Int(0), pvar("x"))),
-            "{:?}",
-            advice.facts
-        );
-    }
-
-    #[test]
-    fn oracle_returns_none_without_information() {
-        let guard = Expr::lt(pvar("x"), Expr::Int(10));
-        let table = table_for(vec![
-            Cmd::GotoIf {
-                guard: guard.clone(),
-                then_target: 1,
-                else_target: 2,
-            },
-            Cmd::Return(Expr::Int(0)),
-            Cmd::Return(Expr::Int(1)),
-        ]);
-        assert!(table.branch_advice(Symbol::new("f"), 0, &guard).is_none());
-        // Unknown procedure or out-of-range index: also nothing.
-        assert!(table.branch_advice(Symbol::new("g"), 0, &guard).is_none());
-        assert!(table.branch_advice(Symbol::new("f"), 99, &guard).is_none());
-    }
-}

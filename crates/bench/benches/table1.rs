@@ -33,7 +33,7 @@ fn bench_table1(c: &mut Criterion) {
     });
     // The LinkedList rows cover the quick function set (see EXPERIMENTS.md);
     // the full push_front/pop_front proofs run in the default test suite
-    // (`tests/end_to_end.rs`, `tests/absint.rs`).
+    // (`tests/end_to_end.rs`, `tests/symbol_growth.rs`).
     group.bench_function("LinkedList/TS", |b| {
         b.iter(serial(SpecMode::TypeSafety, linked_list::session))
     });

@@ -98,33 +98,25 @@ impl Table1Case {
 /// The six Table 1 entries (EvenInt, LP ×2, LinkedList ×2, MiniVec), each
 /// session configured with the given worker count for its own batch.
 pub fn table1_cases(workers: usize) -> Vec<Table1Case> {
-    table1_cases_with_prune(workers, true)
-}
-
-/// Same entries with the static-pruning oracle toggled explicitly: the
-/// differential tests in `tests/absint.rs` run the suite once pruned and
-/// once unpruned and require identical verdicts and diagnostics.
-pub fn table1_cases_with_prune(workers: usize, static_prune: bool) -> Vec<Table1Case> {
     use SpecMode::{FunctionalCorrectness as FC, TypeSafety as TS};
-    let sess = move |s: HybridSession| s.with_workers(workers).with_static_prune(static_prune);
     vec![
         Table1Case::new("EvenInt", "TS/FC", even_int::ALOC, move || {
-            sess(even_int::session(FC))
+            even_int::session(FC).with_workers(workers)
         }),
         Table1Case::new("LP", "TS", linked_pair::ALOC, move || {
-            sess(linked_pair::session(TS))
+            linked_pair::session(TS).with_workers(workers)
         }),
         Table1Case::new("LP", "FC", linked_pair::ALOC, move || {
-            sess(linked_pair::session(FC))
+            linked_pair::session(FC).with_workers(workers)
         }),
         Table1Case::new("LinkedList", "TS", linked_list::ALOC, move || {
-            sess(linked_list::session(TS))
+            linked_list::session(TS).with_workers(workers)
         }),
         Table1Case::new("LinkedList", "FC", linked_list::ALOC, move || {
-            sess(linked_list::session(FC))
+            linked_list::session(FC).with_workers(workers)
         }),
         Table1Case::new("MiniVec", "FC", mini_vec::ALOC, move || {
-            sess(mini_vec::session(FC))
+            mini_vec::session(FC).with_workers(workers)
         }),
     ]
 }

@@ -55,7 +55,6 @@ pub use proof_cache::{CacheStore, DirStore, MemStore};
 
 use creusot_lite::elaborate;
 use gillian_absint::{analyze_prog, ActionBounds};
-use gillian_engine::engine::StaticOracle;
 use gillian_rust::compile::CompileError;
 use gillian_rust::gilsonite::{GilsoniteCtx, SpecMode};
 use gillian_rust::types::{TypeRegistry, Types};
@@ -68,7 +67,7 @@ use proof_cache::{
 use rust_ir::{LayoutOracle, Program, Ty};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------------
@@ -280,16 +279,8 @@ impl VerificationReport {
         } else {
             String::new()
         };
-        let absint = if self.solver.branches_pruned_static + self.solver.absint_facts_seeded > 0 {
-            format!(
-                ", absint {} branches pruned / {} facts seeded",
-                self.solver.branches_pruned_static, self.solver.absint_facts_seeded,
-            )
-        } else {
-            String::new()
-        };
         let mut out = format!(
-            "== {} ({mode}) — {}/{} verified, wall {:.3}s, cpu {:.3}s, {} worker(s), {} max live branches, solver {} ({} queries, {} incremental hits, kernel {:.3}s{smt}{disk}{absint}) ==\n",
+            "== {} ({mode}) — {}/{} verified, wall {:.3}s, cpu {:.3}s, {} worker(s), {} max live branches, solver {} ({} queries, {} incremental hits, kernel {:.3}s{smt}{disk}) ==\n",
             self.session,
             self.verified_count(),
             self.cases.len(),
@@ -343,7 +334,7 @@ impl VerificationReport {
         ));
         out.push_str(&format!("\"backend\":\"{}\",", self.backend));
         out.push_str(&format!(
-            "\"solver\":{{\"unsat_queries\":{},\"entailment_queries\":{},\"cases_explored\":{},\"incremental_hits\":{},\"kernel_nanos\":{},\"smt_queries\":{},\"smt_unsat\":{},\"smt_failures\":{},\"smt_reenabled\":{},\"disk_cache_hits\":{},\"disk_cache_misses\":{},\"disk_cache_writes\":{},\"branches_pruned_static\":{},\"absint_facts_seeded\":{}}},",
+            "\"solver\":{{\"unsat_queries\":{},\"entailment_queries\":{},\"cases_explored\":{},\"incremental_hits\":{},\"kernel_nanos\":{},\"smt_queries\":{},\"smt_unsat\":{},\"smt_failures\":{},\"smt_reenabled\":{},\"disk_cache_hits\":{},\"disk_cache_misses\":{},\"disk_cache_writes\":{}}},",
             self.solver.unsat_queries,
             self.solver.entailment_queries,
             self.solver.cases_explored,
@@ -356,8 +347,6 @@ impl VerificationReport {
             self.solver.disk_cache_hits,
             self.solver.disk_cache_misses,
             self.solver.disk_cache_writes,
-            self.solver.branches_pruned_static,
-            self.solver.absint_facts_seeded,
         ));
         out.push_str(&format!(
             "\"stats\":{{\"commands\":{},\"folds\":{},\"unfolds\":{},\"borrow_opens\":{},\"borrow_closes\":{},\"recoveries\":{},\"branches\":{},\"max_live_branches\":{}}},",
@@ -476,7 +465,6 @@ pub struct SessionBuilder {
     lint: bool,
     lint_deny_warnings: bool,
     lint_allow: Vec<String>,
-    static_prune: Option<bool>,
     target_timeout: Option<Duration>,
 }
 
@@ -499,7 +487,6 @@ impl Default for SessionBuilder {
             lint: true,
             lint_deny_warnings: false,
             lint_allow: Vec::new(),
-            static_prune: None,
             target_timeout: None,
         }
     }
@@ -653,16 +640,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Enables or disables static branch pruning (on by default): the
-    /// abstract-interpretation invariants computed at build time let the
-    /// engine skip statically-infeasible `GotoIf` sides and seed interval
-    /// facts into branch solver contexts. Verdict-preserving — the knob
-    /// exists for the differential tests in `tests/absint.rs`.
-    pub fn static_prune(mut self, enabled: bool) -> Self {
-        self.static_prune = Some(enabled);
-        self
-    }
-
     /// Caps the wall-clock budget of each individual target. The engine
     /// checks the deadline cooperatively (once per symbolic step), so a
     /// runaway proof fails with a structured [`VerifyDiagnostic`] of
@@ -744,14 +721,11 @@ impl SessionBuilder {
         if let Some(kind) = self.backend {
             engine_opts.backend = kind;
         }
-        if let Some(b) = self.static_prune {
-            engine_opts.static_prune = b;
-        }
         if let Some(budget) = self.target_timeout {
             engine_opts.target_timeout = Some(budget);
         }
 
-        let mut verifier = Verifier::new(
+        let verifier = Verifier::new(
             types,
             gilsonite,
             VerifierOptions {
@@ -759,19 +733,6 @@ impl SessionBuilder {
                 engine: engine_opts,
             },
         )?;
-
-        // Abstract interpretation over the compiled GIL. The type registry
-        // supplies machine-integer bounds for typed loads (the memory model
-        // enforces exactly these ranges, so the hook adds no assumption the
-        // engine does not already make); everything else stays Top. The
-        // resulting table doubles as the engine's static oracle.
-        let absint_opts = AnalysisOptions {
-            action_bounds: Some(typed_load_bounds(verifier.types.clone())),
-        };
-        let invariants = Arc::new(analyze_prog(&verifier.engine.prog, &absint_opts));
-        verifier
-            .engine
-            .set_static_oracle(Some(invariants.clone() as Arc<dyn StaticOracle>));
 
         let mut targets = self.targets;
         if targets.is_empty() {
@@ -837,8 +798,7 @@ impl SessionBuilder {
             namespace,
             lint,
             lint_deny_warnings: self.lint_deny_warnings,
-            invariants,
-            absint_opts,
+            invariants: OnceLock::new(),
         })
     }
 }
@@ -860,11 +820,10 @@ fn typed_load_bounds(types: Types) -> ActionBounds {
 
 /// Fingerprint of the verification configuration a cached outcome is valid
 /// for: session name, mode, and every verdict-affecting engine option.
-/// Deliberately excludes the solver backend, the worker count and
-/// `static_prune` — those change *how fast* a verdict is reached, never
-/// the verdict itself (asserted by the backend, worker-count and
-/// static-prune differential tests) — so a cache warmed under one
-/// configuration serves all of them.
+/// Deliberately excludes the solver backend and the worker count — those
+/// change *how fast* a verdict is reached, never the verdict itself
+/// (asserted by the backend and worker-count differential tests) — so a
+/// cache warmed under one configuration serves all of them.
 fn session_namespace(name: &str, mode: SpecMode, opts: &EngineOptions) -> u64 {
     let mode = match mode {
         SpecMode::TypeSafety => "type-safety",
@@ -938,12 +897,9 @@ pub struct HybridSession {
     lint: Option<LintReport>,
     /// Treat lint warnings as batch-blocking (`-D warnings`).
     lint_deny_warnings: bool,
-    /// Abstract-interpretation invariants over the compiled GIL; also
-    /// installed on the engine as its static oracle.
-    invariants: Arc<InvariantTable>,
-    /// The analysis configuration the table was computed with (kept for
-    /// per-procedure refreshes on daemon edits).
-    absint_opts: AnalysisOptions,
+    /// Abstract-interpretation invariants over the compiled GIL, built on
+    /// the first [`HybridSession::invariants`] call.
+    invariants: OnceLock<InvariantTable>,
 }
 
 impl HybridSession {
@@ -984,20 +940,6 @@ impl HybridSession {
     /// written against the removed branch-width knob still build.
     #[deprecated(note = "ignored: each obligation is explored serially")]
     pub fn with_branch_parallelism(self, _workers: usize) -> Self {
-        self
-    }
-
-    /// Whether the engine consults the static value analysis at branches.
-    pub fn static_prune_enabled(&self) -> bool {
-        self.verifier.engine.opts.static_prune
-    }
-
-    /// Toggles static branch pruning on an already-built session (the
-    /// compiled program, invariant table and cache are reused — this is how
-    /// the differential tests compare pruned against unpruned runs of the
-    /// same suite).
-    pub fn with_static_prune(mut self, enabled: bool) -> Self {
-        self.verifier.engine.opts.static_prune = enabled;
         self
     }
 
@@ -1085,26 +1027,24 @@ impl HybridSession {
         }
     }
 
-    /// The abstract-interpretation invariants computed over the compiled
-    /// GIL at build time (and refreshed per procedure on daemon edits).
+    /// The abstract-interpretation invariants of the compiled procedures,
+    /// built on the first call and kept for the session's lifetime. The
+    /// type registry supplies machine-integer bounds for typed loads (the
+    /// memory model enforces exactly these ranges); everything else stays
+    /// Top.
+    ///
+    /// The table describes the procedures as compiled at build time. No
+    /// session API changes a procedure body after the build: the daemon's
+    /// edits swap only specifications and predicates, which the analysis
+    /// does not read. A body swapped by hand through
+    /// [`HybridSession::verifier_mut`] is not reflected; build a new session.
     pub fn invariants(&self) -> &InvariantTable {
-        &self.invariants
-    }
-
-    /// Recomputes the invariants of a single procedure against the current
-    /// compiled program and refreshes the engine's static oracle — the
-    /// daemon's `update_fn` companion to [`HybridSession::relint`]. A name
-    /// with no compiled procedure drops any stale entry.
-    pub fn refresh_invariants_for(&mut self, name: &str) {
-        let sym = Symbol::new(name);
-        let table = Arc::make_mut(&mut self.invariants);
-        match self.verifier.engine.prog.procs.get(&sym) {
-            Some(proc) => table.refresh_proc(proc, &self.absint_opts),
-            None => table.remove_proc(sym),
-        }
-        self.verifier
-            .engine
-            .set_static_oracle(Some(self.invariants.clone() as Arc<dyn StaticOracle>));
+        self.invariants.get_or_init(|| {
+            let opts = AnalysisOptions {
+                action_bounds: Some(typed_load_bounds(self.verifier.types.clone())),
+            };
+            analyze_prog(&self.verifier.engine.prog, &opts)
+        })
     }
 
     /// Access to the underlying verifier (escape hatch for existing code).

@@ -22,7 +22,7 @@ use gillian_solver::{simplify, BackendKind, Expr, Solver, Symbol};
 use std::borrow::{Borrow, Cow};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// Is `GILLIAN_DEBUG` set? Read from the environment once per process and
@@ -165,14 +165,6 @@ pub struct EngineOptions {
     /// (`None` probes `GILLIAN_SMT`, then `PATH` for `z3`/`cvc5`). Lets
     /// tests and benches inject stub solvers deterministically.
     pub smt_command: Option<Vec<String>>,
-    /// Consult the installed [`StaticOracle`] at symbolic `GotoIf`s: arms
-    /// the static value analysis proves infeasible are skipped without
-    /// forking a solver scope, partially-proven conjunctive guards assume
-    /// only their undecided residual on the else side, and interval facts
-    /// are seeded into the branch contexts. On by default; the oracle
-    /// over-approximates every concrete execution, so pruning is
-    /// verdict-preserving (it only removes paths with no concrete model).
-    pub static_prune: bool,
     /// Cooperative wall-clock deadline for each verification target
     /// (`None` = unbounded, the default). The deadline is installed when
     /// [`Engine::verify_proc_from`] / [`Engine::verify_lemma_from`] enter
@@ -198,7 +190,6 @@ impl Default for EngineOptions {
             backend: BackendKind::default(),
             smt_timeout_ms: smt_timeout.as_millis() as u64,
             smt_command: None,
-            static_prune: true,
             target_timeout: None,
         }
     }
@@ -405,38 +396,6 @@ pub struct ProcReport {
     pub elapsed: Duration,
 }
 
-/// Advice from a [`StaticOracle`] about one symbolic `GotoIf`.
-#[derive(Clone, Debug, Default)]
-pub struct BranchAdvice {
-    /// `Some(true)`: the guard holds on every concrete execution reaching
-    /// the branch — the else arm is infeasible and is skipped without a
-    /// solver scope. `Some(false)`: dually, the then arm is skipped.
-    pub decision: Option<bool>,
-    /// For a conjunctive guard `a ∧ b` with one conjunct statically proven,
-    /// the undecided residual's negation (e.g. `¬b`): the else side assumes
-    /// this single literal instead of the disjunction `¬a ∨ ¬b`, which the
-    /// refutation kernel would case-split. Sound because the invariant
-    /// entails the proven conjunct, so `¬(a ∧ b)` collapses to the residual
-    /// on every reachable state.
-    pub else_assume: Option<Expr>,
-    /// Invariant facts at the branch (program-variable level, e.g.
-    /// `0 <= len`); both arms assume them so the kernel starts with tight
-    /// bounds. Facts over-approximate every concrete execution, so assuming
-    /// them can only prune paths that had no concrete model.
-    pub facts: Vec<Expr>,
-}
-
-/// A flow-sensitive static analysis the engine may consult at symbolic
-/// branch points (see [`EngineOptions::static_prune`]). Implemented by the
-/// abstract interpreter in `gillian-absint` and installed by the driver;
-/// the engine itself never depends on the analysis crate.
-pub trait StaticOracle: Send + Sync {
-    /// Advice for the `GotoIf` at command `idx` of procedure `proc`, whose
-    /// (pre-evaluation) guard is `guard`. `None` means "no opinion" and the
-    /// branch forks exactly as it would without an oracle.
-    fn branch_advice(&self, proc: Symbol, idx: usize, guard: &Expr) -> Option<BranchAdvice>;
-}
-
 /// The symbolic-execution engine. The engine is `Sync`: verification entry
 /// points take `&self`, so one engine can drive many proof obligations from
 /// several threads at once (the parallel batch path of `HybridSession`).
@@ -446,9 +405,6 @@ pub struct Engine<S: StateModel> {
     pub opts: EngineOptions,
     pub tactics: HashMap<Symbol, TacticFn<S>>,
     stats: AtomicEngineStats,
-    /// The installed static-analysis oracle, if any (see
-    /// [`EngineOptions::static_prune`]).
-    oracle: Option<Arc<dyn StaticOracle>>,
     /// Numbers the fresh logical-variable names of this engine's proofs
     /// (see [`Engine::fresh_lvar_name`]).
     fresh_lvars: AtomicU64,
@@ -500,20 +456,8 @@ impl<S: StateModel> Engine<S> {
             opts,
             tactics: HashMap::new(),
             stats: AtomicEngineStats::default(),
-            oracle: None,
             fresh_lvars: AtomicU64::new(0),
         }
-    }
-
-    /// Installs (or removes) the static-analysis oracle consulted at
-    /// symbolic `GotoIf`s when [`EngineOptions::static_prune`] is on.
-    pub fn set_static_oracle(&mut self, oracle: Option<Arc<dyn StaticOracle>>) {
-        self.oracle = oracle;
-    }
-
-    /// Is a static-analysis oracle installed?
-    pub fn has_static_oracle(&self) -> bool {
-        self.oracle.is_some()
     }
 
     fn smt_options(opts: &EngineOptions) -> gillian_solver::SmtOptions {
@@ -1868,73 +1812,22 @@ impl<S: StateModel> Engine<S> {
                     Some(true) => Ok(StepOutcome::one(cfg, *then_target)),
                     Some(false) => Ok(StepOutcome::one(cfg, *else_target)),
                     None => {
-                        // Ask the static oracle before forking: an arm the
-                        // value analysis proves infeasible never gets a
-                        // solver scope, and a partially-proven conjunctive
-                        // guard leaves only its undecided residual to the
-                        // else side (a literal instead of a disjunction the
-                        // kernel would case-split).
-                        let advice = if self.opts.static_prune {
-                            self.oracle
-                                .as_ref()
-                                .and_then(|o| o.branch_advice(proc.name, pc, guard))
-                        } else {
-                            None
-                        };
-                        let advice = advice.unwrap_or_default();
-                        let keep_then = advice.decision != Some(false);
-                        let keep_else = advice.decision != Some(true);
-                        let facts: Vec<Expr> = advice
-                            .facts
-                            .iter()
-                            .map(|f| cfg.eval(f))
-                            .filter(|f| f.as_bool() != Some(true))
-                            .collect();
-                        let seed = |c: &mut Config<S>| {
-                            for f in &facts {
-                                self.solver.note_absint_fact_seeded();
-                                if !c.assume(f.clone()) {
-                                    return false;
-                                }
-                            }
-                            true
-                        };
                         let configs = self.auto_unfold_for_branch(cfg, &g);
                         let mut succs = Vec::new();
                         for c in configs {
                             self.bump(|s| &s.branches);
                             // Each side gets its own solver scope: the guard
                             // is asserted incrementally on top of the shared
-                            // path prefix. Only a branch that keeps both
-                            // sides copies its configuration.
-                            let (then_c, else_c) = match (keep_then, keep_else) {
-                                (true, true) => (Some(c.clone()), Some(c)),
-                                (true, false) => (Some(c), None),
-                                (false, true) => (None, Some(c)),
-                                (false, false) => (None, None),
-                            };
-                            if let Some(mut then_c) = then_c {
-                                then_c.branch_scope();
-                                if then_c.assume(g.clone()) && seed(&mut then_c) {
-                                    succs.push((then_c, *then_target));
+                            // path prefix.
+                            let arms = [
+                                (g.clone(), *then_target),
+                                (Expr::not(g.clone()), *else_target),
+                            ];
+                            for (mut c, (fact, target)) in fan_out(c, arms) {
+                                c.branch_scope();
+                                if c.assume(fact) {
+                                    succs.push((c, target));
                                 }
-                            } else {
-                                self.solver.note_branch_pruned_static();
-                            }
-                            if let Some(mut else_c) = else_c {
-                                else_c.branch_scope();
-                                let neg = match &advice.else_assume {
-                                    Some(residual) => {
-                                        self.solver.note_absint_fact_seeded();
-                                        else_c.eval(residual)
-                                    }
-                                    None => Expr::not(g.clone()),
-                                };
-                                if else_c.assume(neg) && seed(&mut else_c) {
-                                    succs.push((else_c, *else_target));
-                                }
-                            } else {
-                                self.solver.note_branch_pruned_static();
                             }
                         }
                         Ok(StepOutcome::Forked(succs))

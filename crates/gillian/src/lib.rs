@@ -48,8 +48,8 @@ pub use asrt::{Asrt, Lemma, Pred, Spec};
 pub use cfg::Cfg;
 pub use config::{Bindings, ClosingToken, Config, FoldedPred, GuardedPred};
 pub use engine::{
-    debug_enabled, BranchAdvice, Engine, EngineOptions, EngineStats, ProcReport, StaticOracle,
-    TacticFn, VerError, VerErrorKind, LFT_TOKEN, RET_VAR,
+    debug_enabled, Engine, EngineOptions, EngineStats, ProcReport, TacticFn, VerError,
+    VerErrorKind, LFT_TOKEN, RET_VAR,
 };
 pub use gil::{Cmd, DepKind, LogicCmd, Proc, Prog};
 pub use state::{

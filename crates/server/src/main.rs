@@ -7,6 +7,7 @@
 //! gillian cache stats|clear|gc ...  # inspect / maintain the on-disk cache
 //! ```
 
+use creusot_lite::quote_clause;
 use gillian_server::{
     mode_label, parse_mode, serve_stdio_shared, serve_unix, workload, ProgramDb, ServerCore,
     WORKLOADS,
@@ -75,7 +76,7 @@ fn main() {
                         Some(path) => cache_dir = Some(PathBuf::from(path)),
                         None => die("--cache-dir requires a path"),
                     },
-                    other => die(&format!("unknown argument `{other}`")),
+                    other => die(&format!("unknown argument {}", quote_clause(other))),
                 }
             }
             // The explicit flag wins; the environment variable (honoured by
@@ -107,7 +108,7 @@ fn main() {
         Some("--help") | Some("-h") | Some("help") | None => {
             print!("{USAGE}");
         }
-        Some(other) => die(&format!("unknown command `{other}`")),
+        Some(other) => die(&format!("unknown command {}", quote_clause(other))),
     }
 }
 
@@ -184,13 +185,18 @@ fn lint_command(args: &[String]) {
                 }
                 return;
             }
-            flag if flag.starts_with('-') => die(&format!("unknown argument `{flag}`")),
+            flag if flag.starts_with('-') => {
+                die(&format!("unknown argument {}", quote_clause(flag)))
+            }
             name => names.push(name.to_string()),
         }
     }
     let mode = mode.map(|s| match parse_mode(&s) {
         Some(m) => m,
-        None => die(&format!("unknown mode `{s}` (use \"ts\" or \"fc\")")),
+        None => die(&format!(
+            "unknown mode {} (use \"ts\" or \"fc\")",
+            quote_clause(&s)
+        )),
     });
     let selected: Vec<&str> = if names.is_empty() {
         WORKLOADS.iter().map(|w| w.name).collect()
@@ -199,7 +205,7 @@ fn lint_command(args: &[String]) {
             .iter()
             .map(|n| match workload(n) {
                 Some(w) => w.name,
-                None => die(&format!("unknown workload `{n}`")),
+                None => die(&format!("unknown workload {}", quote_clause(n))),
             })
             .collect()
     };
@@ -265,8 +271,8 @@ fn lint_command(args: &[String]) {
 
 /// `gillian analyze` — dump the abstract-interpretation invariants of each
 /// selected workload's compiled procedures. Like `lint`, this builds the
-/// session (compilation + spec elaboration, no proof search); the
-/// invariants themselves are computed by the session builder.
+/// session (compilation + spec elaboration, no proof search); the session
+/// computes the invariants when they are first read, here.
 fn analyze_command(args: &[String]) {
     let mut names: Vec<String> = Vec::new();
     let mut mode: Option<String> = None;
@@ -279,13 +285,18 @@ fn analyze_command(args: &[String]) {
                 None => die("--mode requires ts or fc"),
             },
             "--json" => json = true,
-            flag if flag.starts_with('-') => die(&format!("unknown argument `{flag}`")),
+            flag if flag.starts_with('-') => {
+                die(&format!("unknown argument {}", quote_clause(flag)))
+            }
             name => names.push(name.to_string()),
         }
     }
     let mode = mode.map(|s| match parse_mode(&s) {
         Some(m) => m,
-        None => die(&format!("unknown mode `{s}` (use \"ts\" or \"fc\")")),
+        None => die(&format!(
+            "unknown mode {} (use \"ts\" or \"fc\")",
+            quote_clause(&s)
+        )),
     });
     let selected: Vec<&str> = if names.is_empty() {
         WORKLOADS.iter().map(|w| w.name).collect()
@@ -294,7 +305,7 @@ fn analyze_command(args: &[String]) {
             .iter()
             .map(|n| match workload(n) {
                 Some(w) => w.name,
-                None => die(&format!("unknown workload `{n}`")),
+                None => die(&format!("unknown workload {}", quote_clause(n))),
             })
             .collect()
     };
@@ -374,7 +385,7 @@ fn cache_command(args: &[String]) {
                 Some(Ok(n)) => max_bytes = Some(n),
                 _ => die("--max-bytes requires an integer byte count"),
             },
-            other => die(&format!("unknown argument `{other}`")),
+            other => die(&format!("unknown argument {}", quote_clause(other))),
         }
     }
     let store = DirStore::new(dir.unwrap_or_else(resolve_cache_dir));
@@ -424,6 +435,6 @@ fn cache_command(args: &[String]) {
                 store.root().display()
             );
         }
-        other => die(&format!("unknown cache action `{other}`")),
+        other => die(&format!("unknown cache action {}", quote_clause(other))),
     }
 }

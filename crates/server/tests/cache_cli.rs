@@ -132,13 +132,41 @@ fn serve_persists_across_restarts_and_cache_subcommand_maintains_the_store() {
 
 #[test]
 fn cache_subcommand_rejects_bad_usage() {
+    // Every argument an error echoes back is quoted to a bounded length: a
+    // 100,000-byte argument still gets a message of a few KB (the usage
+    // text alone is about 2.2 KB).
+    let long = "q".repeat(100_000);
+    let long_flag = format!("-{long}");
     for bad in [
         vec!["cache"],
         vec!["cache", "defrag"],
         vec!["cache", "gc"],
         vec!["cache", "stats", "--max-bytes", "zero"],
+        vec![&long],
+        vec!["serve", &long],
+        vec!["lint", &long_flag],
+        vec!["lint", "--mode", &long],
+        vec!["lint", &long],
+        vec!["analyze", &long_flag],
+        vec!["analyze", "--mode", &long],
+        vec!["analyze", &long],
+        vec!["cache", "stats", &long],
+        vec!["cache", &long],
     ] {
+        let shown: Vec<&str> = bad
+            .iter()
+            .map(|a| if a.len() > 64 { "<100,000 bytes>" } else { a })
+            .collect();
         let out = gillian().args(&bad).output().unwrap();
-        assert!(!out.status.success(), "{bad:?} should fail");
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "{shown:?} should fail with usage"
+        );
+        assert!(
+            out.stderr.len() < 4096,
+            "{shown:?} wrote {} bytes to stderr",
+            out.stderr.len()
+        );
     }
 }

@@ -83,13 +83,15 @@ pub struct SolverStats {
     pub disk_cache_misses: u64,
     /// Verified outcomes written back to the persistent proof cache.
     pub disk_cache_writes: u64,
-    /// Branch arms skipped outright because the static value analysis
-    /// proved the guard one-sided (filled by the engine's `GotoIf` step:
-    /// no solver scope was ever forked for the arm).
+    /// Always 0: the engine no longer consults the static value analysis
+    /// at branches. Kept so that readers written against the old static
+    /// branch pruning still build.
+    #[deprecated(note = "static branch pruning is gone; this counter is always 0")]
     pub branches_pruned_static: u64,
-    /// Interval/shape facts from the static value analysis assumed into a
-    /// branch's solver context (filled by the engine: each fact tightens
-    /// the path condition before any kernel work).
+    /// Always 0: the engine no longer seeds static-analysis facts into
+    /// branch contexts. Kept so that readers written against the old
+    /// static branch pruning still build.
+    #[deprecated(note = "static fact seeding is gone; this counter is always 0")]
     pub absint_facts_seeded: u64,
 }
 
@@ -118,13 +120,7 @@ impl SolverStats {
             disk_cache_writes: self
                 .disk_cache_writes
                 .saturating_sub(earlier.disk_cache_writes),
-            branches_pruned_static: self
-                .branches_pruned_static
-                .saturating_sub(earlier.branches_pruned_static),
-            absint_facts_seeded: self
-                .absint_facts_seeded
-                .saturating_sub(earlier.absint_facts_seeded),
-            // The deprecated `cache_hits` stays 0.
+            // The deprecated counters stay 0.
             ..SolverStats::default()
         }
     }
@@ -147,8 +143,6 @@ pub(crate) struct AtomicSolverStats {
     pub(crate) smt_failures: AtomicU64,
     pub(crate) kernel_nanos: AtomicU64,
     pub(crate) incremental_hits: AtomicU64,
-    pub(crate) branches_pruned_static: AtomicU64,
-    pub(crate) absint_facts_seeded: AtomicU64,
 }
 
 impl AtomicSolverStats {
@@ -170,9 +164,7 @@ impl AtomicSolverStats {
             disk_cache_hits: 0,
             disk_cache_misses: 0,
             disk_cache_writes: 0,
-            branches_pruned_static: self.branches_pruned_static.load(Ordering::Relaxed),
-            absint_facts_seeded: self.absint_facts_seeded.load(Ordering::Relaxed),
-            // The deprecated `cache_hits` stays 0.
+            // The deprecated counters stay 0.
             ..SolverStats::default()
         }
     }
@@ -186,8 +178,6 @@ impl AtomicSolverStats {
         self.smt_failures.store(0, Ordering::Relaxed);
         self.kernel_nanos.store(0, Ordering::Relaxed);
         self.incremental_hits.store(0, Ordering::Relaxed);
-        self.branches_pruned_static.store(0, Ordering::Relaxed);
-        self.absint_facts_seeded.store(0, Ordering::Relaxed);
     }
 }
 

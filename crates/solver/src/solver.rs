@@ -124,21 +124,6 @@ impl Solver {
         stats
     }
 
-    /// Records a branch arm skipped by the static value analysis: the guard
-    /// was proved one-sided before any solver scope was forked for the arm.
-    pub fn note_branch_pruned_static(&self) {
-        self.stats
-            .branches_pruned_static
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records a static-analysis fact assumed into a branch context.
-    pub fn note_absint_fact_seeded(&self) {
-        self.stats
-            .absint_facts_seeded
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Resets the statistics counters (the arena is kept).
     pub fn reset_stats(&self) {
         self.stats.reset();

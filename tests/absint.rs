@@ -1,13 +1,11 @@
 //! Integration tests for `gillian analyze`: the GL05x seeded-defect corpus
 //! (every semantic defect class caught with a stable code and span in a real
 //! Table 1 program), the clean-sweep false-positive guard (zero GL05x on
-//! every shipped workload in both modes), and the differential pruning
-//! guarantee (static branch pruning is invisible in verdicts and diagnostics
-//! and only ever removes solver work).
+//! every shipped workload in both modes), and the session's invariant table
+//! (deterministic, and the same whenever it is first read).
 
-use case_studies::table1::{table1_cases, table1_cases_with_prune, Table1Row};
+use case_studies::table1::table1_cases;
 use case_studies::SpecMode;
-use driver::SolverStats;
 use gillian_engine::asrt::Asrt;
 use gillian_engine::gil::{Cmd, LogicCmd, Prog};
 use gillian_lint::{lint_prog, ItemKind, LintOptions, LintReport, Severity};
@@ -222,159 +220,20 @@ fn clean_sweep_daemon_workloads_have_no_gl05x() {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Differential pruning: verdict-preserving, work-reducing
-// ---------------------------------------------------------------------------
-
-/// Runs the full Table 1 suite with the static-pruning oracle toggled,
-/// returning each row plus its per-session solver statistics.
-fn run_table1_prune(prune: bool) -> Vec<(Table1Row, SolverStats)> {
-    table1_cases_with_prune(1, prune)
-        .into_iter()
-        .map(|case| {
-            let (name, property, aloc) = (case.name, case.property, case.aloc);
-            let session = case.session();
-            let eloc = session.verifier().types.program.executable_lines();
-            let report = session.verify_all();
-            let solver = report.solver;
-            (
-                Table1Row::from_report(name, property, eloc, aloc, report),
-                solver,
-            )
-        })
-        .collect()
-}
-
-/// Verdicts and diagnostic fingerprints must agree row by row and case by
-/// case (leaf counts are deliberately *not* compared: pruning changes work,
-/// never answers).
-fn assert_rows_identical(a: &[(Table1Row, SolverStats)], b: &[(Table1Row, SolverStats)]) {
-    assert_eq!(a.len(), b.len());
-    for ((ra, _), (rb, _)) in a.iter().zip(b.iter()) {
-        assert_eq!(ra.name, rb.name);
-        assert_eq!(ra.property, rb.property);
-        assert_eq!(
-            ra.all_verified, rb.all_verified,
-            "verdict of row {} ({})",
-            ra.name, ra.property
-        );
-        assert_eq!(ra.reports.len(), rb.reports.len());
-        for (ca, cb) in ra.reports.iter().zip(rb.reports.iter()) {
-            assert_eq!(ca.name, cb.name);
-            assert_eq!(
-                ca.verified, cb.verified,
-                "case {} of row {}",
-                ca.name, ra.name
-            );
-            let fp = |c: &gillian_rust::verifier::CaseReport| {
-                c.diagnostic.as_ref().map(|d| d.fingerprint())
-            };
-            assert_eq!(fp(ca), fp(cb), "diagnostic of {} / {}", ra.name, ca.name);
-        }
-    }
-}
-
-/// The acceptance matrix: static pruning on and off. Pruning never changes
-/// a verdict or a diagnostic, never *adds* solver work, strictly removes
-/// work on at least one LinkedList proof, and its counters are live exactly
-/// when the oracle is on.
-#[test]
-fn table1_pruning_is_verdict_preserving_and_work_reducing() {
-    let on = run_table1_prune(true);
-    let off = run_table1_prune(false);
-
-    // Verdicts and diagnostics: identical with and without pruning.
-    assert_rows_identical(&on, &off);
-
-    // Every row still verifies.
-    for (row, _) in &on {
-        assert!(row.all_verified, "row {} ({})", row.name, row.property);
-    }
-
-    // Pruning only ever removes work, and the counters prove the oracle ran.
-    let mut oracle_active = false;
-    let mut any_strict = false;
-    for ((ra, s_on), (_, s_off)) in on.iter().zip(off.iter()) {
-        assert!(
-            s_on.cases_explored <= s_off.cases_explored,
-            "pruning added work on row {} ({}): {} > {}",
-            ra.name,
-            ra.property,
-            s_on.cases_explored,
-            s_off.cases_explored
-        );
-        assert_eq!(
-            s_off.branches_pruned_static, 0,
-            "prune-off run counted pruned branches on {}",
-            ra.name
-        );
-        assert_eq!(
-            s_off.absint_facts_seeded, 0,
-            "prune-off run counted seeded facts on {}",
-            ra.name
-        );
-        if s_on.branches_pruned_static + s_on.absint_facts_seeded > 0 {
-            oracle_active = true;
-        }
-        if s_on.cases_explored < s_off.cases_explored {
-            any_strict = true;
-        }
-    }
-    assert!(
-        oracle_active,
-        "the static oracle never pruned a branch or seeded a fact on any row"
-    );
-    assert!(
-        any_strict,
-        "expected strictly fewer leaf cases on at least one Table 1 row"
-    );
-}
-
-/// The acceptance row the paper cares about: on the *full* LinkedList
-/// function set (`push_front`/`pop_front` carry the compiled overflow
-/// checks), the oracle residualises the half-proven conjunctive guards and
-/// the kernel explores strictly fewer leaf cases — with identical verdicts.
-#[test]
-fn full_linked_list_pruning_strictly_reduces_leaf_cases() {
-    let run = |prune: bool| {
-        case_studies::linked_list::session_for(
-            SpecMode::FunctionalCorrectness,
-            case_studies::linked_list::FUNCTIONS_FULL,
-        )
-        .with_static_prune(prune)
-        .verify_all()
-    };
-    let pruned = run(true);
-    let unpruned = run(false);
-    assert!(pruned.all_verified(), "{}", pruned.render_text());
-    assert!(unpruned.all_verified(), "{}", unpruned.render_text());
-    assert_eq!(pruned.cases.len(), unpruned.cases.len());
-    for (p, u) in pruned.cases.iter().zip(unpruned.cases.iter()) {
-        assert_eq!(p.name(), u.name());
-        assert_eq!(p.verified(), u.verified(), "verdict of {}", p.name());
-    }
-    assert!(
-        pruned.solver.absint_facts_seeded > 0,
-        "no facts seeded on the full LinkedList set"
-    );
-    assert_eq!(unpruned.solver.absint_facts_seeded, 0);
-    assert!(
-        pruned.solver.cases_explored < unpruned.solver.cases_explored,
-        "expected strictly fewer leaf cases with pruning: {} vs {}",
-        pruned.solver.cases_explored,
-        unpruned.solver.cases_explored
-    );
-}
-
 /// The invariant table is exposed on the session, covers every proc of the
 /// compiled program, and its fingerprint is stable across rebuilds of the
-/// same workload (content-addressed: interning order must not leak in).
+/// same workload (content-addressed: interning order must not leak in). The
+/// table is built on first read, and a proof run before that read leaves it
+/// unchanged.
 #[test]
 fn session_invariants_are_stable_across_rebuilds() {
     let fp = |db: &ProgramDb| db.session.invariants().fingerprint;
     let a = ProgramDb::load("linked_list", None, Some(1), None).expect("load");
     let b = ProgramDb::load("linked_list", None, Some(1), None).expect("load");
     assert_eq!(fp(&a), fp(&b), "invariant fingerprint is not deterministic");
+    let c = ProgramDb::load("linked_list", None, Some(1), None).expect("load");
+    assert!(c.session.verify_all().all_verified());
+    assert_eq!(fp(&c), fp(&a), "a proof run changed the invariant table");
     assert!(
         !a.session.invariants().procs.is_empty(),
         "no procedures analyzed"

@@ -215,8 +215,8 @@ fn identical_requests_report_identical_solver_deltas() {
     assert_eq!(first, second, "identical requests, identical solver work");
     assert_eq!(
         first.len(),
-        13,
-        "all non-timing counters are compared (incl. the disk-cache trio, the absint pair and smt_reenabled)"
+        11,
+        "all non-timing counters are compared (incl. the disk-cache trio and smt_reenabled)"
     );
 
     // A cache-served verify does no solver work at all.
