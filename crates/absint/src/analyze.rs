@@ -418,14 +418,15 @@ impl ProcInvariants {
     }
 }
 
-/// Runs the worklist fixpoint over one procedure.
-pub fn analyze_proc(proc: &Proc, opts: &AnalysisOptions) -> ProcInvariants {
+/// Runs the worklist fixpoint over one procedure, given its control-flow
+/// graph: the abstract state holding on entry to each command, `None` where
+/// the analysis proved the command unreachable.
+pub fn fixpoint(proc: &Proc, cfg: &Cfg, opts: &AnalysisOptions) -> Vec<Option<AbsState>> {
     let len = proc.body.len();
     let mut entry: Vec<Option<AbsState>> = vec![None; len];
     if len > 0 {
         // Entry is unconstrained: parameters and locals are Top.
         entry[0] = Some(AbsState::new());
-        let cfg = Cfg::new(&proc.body);
         let heads = cfg.loop_heads();
         let mut joins: Vec<u32> = vec![0; len];
         let mut work: VecDeque<usize> = VecDeque::from([0]);
@@ -433,8 +434,8 @@ pub fn analyze_proc(proc: &Proc, opts: &AnalysisOptions) -> ProcInvariants {
         queued[0] = true;
         while let Some(i) = work.pop_front() {
             queued[i] = false;
-            let Some(s) = entry[i].clone() else { continue };
-            for (t, out) in flow(proc, opts, i, &s) {
+            let Some(s) = &entry[i] else { continue };
+            for (t, out) in flow(proc, opts, i, s) {
                 let merged = match &entry[t] {
                     None => out,
                     Some(old) => {
@@ -479,6 +480,13 @@ pub fn analyze_proc(proc: &Proc, opts: &AnalysisOptions) -> ProcInvariants {
             entry = next;
         }
     }
+    entry
+}
+
+/// Runs the worklist fixpoint over one procedure and fingerprints the
+/// result.
+pub fn analyze_proc(proc: &Proc, opts: &AnalysisOptions) -> ProcInvariants {
+    let entry = fixpoint(proc, &Cfg::new(&proc.body), opts);
     let fingerprint = fingerprint_entries(proc.name, &entry);
     ProcInvariants {
         name: proc.name,

@@ -7,8 +7,8 @@
 //! Severity mapping and suppression live in `gillian-lint`, which owns the
 //! GLxxx code table; this module only names the code.
 
-use crate::analyze::{abs_eval, pure_parts, ProcInvariants};
-use crate::domain::Interval;
+use crate::analyze::{abs_eval, pure_parts};
+use crate::domain::{AbsState, Interval};
 use gillian_engine::cfg::Cfg;
 use gillian_engine::gil::{Cmd, LogicCmd, Proc};
 use gillian_solver::{BinOp, Expr, Symbol};
@@ -35,14 +35,16 @@ impl Finding {
     }
 }
 
-/// Runs every GL05x detector over one procedure, using previously computed
-/// invariants. Results are sorted by command index, then code.
-pub fn semantic_findings(proc: &Proc, inv: &ProcInvariants) -> Vec<Finding> {
+/// Runs every GL05x detector over one procedure, given its control-flow
+/// graph and the states [`crate::fixpoint`] computed on entry to each
+/// command. Results are sorted by command index, then code.
+pub fn semantic_findings(proc: &Proc, cfg: &Cfg, entry: &[Option<AbsState>]) -> Vec<Finding> {
     let mut out = Vec::new();
     let len = proc.body.len();
+    debug_assert_eq!(entry.len(), len, "one state slot per command");
 
-    for (i, cmd) in proc.body.iter().enumerate() {
-        let Some(state) = inv.state_at(i) else {
+    for ((i, cmd), state) in proc.body.iter().enumerate().zip(entry) {
+        let Some(state) = state else {
             continue; // unreachable: nothing to prove about it
         };
 
@@ -130,7 +132,6 @@ pub fn semantic_findings(proc: &Proc, inv: &ProcInvariants) -> Vec<Finding> {
     // that no command inside the SCC reassigns — and the guard is not
     // statically decided (GL051/GL054 cover that) — the loop either never
     // runs its exit test differently or never exits.
-    let cfg = Cfg::new(&proc.body);
     for scc in cfg.cyclic_sccs() {
         let in_scc: BTreeSet<usize> = scc.iter().copied().collect();
         let defs: BTreeSet<Symbol> = scc
@@ -148,8 +149,8 @@ pub fn semantic_findings(proc: &Proc, inv: &ProcInvariants) -> Vec<Finding> {
                 if cfg.succs[i].iter().any(|s| !in_scc.contains(s)) {
                     exits.push((i, guard));
                     let vars = guard.pvars();
-                    let undecided = inv
-                        .state_at(i)
+                    let undecided = entry[i]
+                        .as_ref()
                         .map(|s| abs_eval(guard, s).truth().is_none())
                         .unwrap_or(false);
                     if vars.is_empty() || !vars.is_disjoint(&defs) || !undecided {
@@ -181,11 +182,12 @@ pub fn semantic_findings(proc: &Proc, inv: &ProcInvariants) -> Vec<Finding> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analyze::{analyze_proc, AnalysisOptions};
+    use crate::analyze::{fixpoint, AnalysisOptions};
 
     fn findings(proc: &Proc) -> Vec<Finding> {
-        let inv = analyze_proc(proc, &AnalysisOptions::default());
-        semantic_findings(proc, &inv)
+        let cfg = Cfg::new(&proc.body);
+        let entry = fixpoint(proc, &cfg, &AnalysisOptions::default());
+        semantic_findings(proc, &cfg, &entry)
     }
 
     fn pvar(name: &str) -> Expr {

@@ -767,7 +767,7 @@ impl SessionBuilder {
             })
             .max(1);
 
-        // Lint-before-verify: the five static passes over the compiled GIL.
+        // Lint-before-verify: the six static passes over the compiled GIL.
         // The report is computed once here and carried by the session; the
         // fail-fast decision happens in `verify_all`, so callers can still
         // inspect a linted session freely.

@@ -41,6 +41,23 @@ pub struct Cfg {
     pub reachable: Vec<bool>,
 }
 
+/// The predecessor lists of a [`Cfg`], in one flat vector: `preds[i]` is
+/// the slice of commands with an edge to `i`, in increasing order.
+#[derive(Clone, Debug)]
+pub struct Preds {
+    /// `list[start[i]..start[i + 1]]` are the predecessors of `i`.
+    start: Vec<usize>,
+    list: Vec<usize>,
+}
+
+impl std::ops::Index<usize> for Preds {
+    type Output = [usize];
+
+    fn index(&self, i: usize) -> &[usize] {
+        &self.list[self.start[i]..self.start[i + 1]]
+    }
+}
+
 impl Cfg {
     /// Builds the CFG of a body, clamping invalid explicit targets.
     pub fn new(body: &[Cmd]) -> Cfg {
@@ -48,16 +65,14 @@ impl Cfg {
         let mut out_of_range = Vec::new();
         let mut succs: Vec<Vec<usize>> = Vec::with_capacity(len);
         for (i, cmd) in body.iter().enumerate() {
-            let raw = successors(i, cmd);
-            let mut valid = Vec::with_capacity(raw.len());
             let explicit = matches!(cmd, Cmd::Goto(_) | Cmd::GotoIf { .. });
-            for t in raw {
-                if t < len {
-                    valid.push(t);
-                } else if explicit {
+            let mut valid = successors(i, cmd);
+            valid.retain(|&t| {
+                if t >= len && explicit {
                     out_of_range.push((i, t));
                 }
-            }
+                t < len
+            });
             valid.sort_unstable();
             valid.dedup();
             succs.push(valid);
@@ -83,14 +98,25 @@ impl Cfg {
     }
 
     /// Predecessor lists (inverse of `succs`).
-    pub fn preds(&self) -> Vec<Vec<usize>> {
-        let mut preds: Vec<Vec<usize>> = vec![Vec::new(); self.len];
+    pub fn preds(&self) -> Preds {
+        // Count each command's predecessors, turn the counts into start
+        // offsets, then place every edge; sources ascend, so each list does.
+        let mut start = vec![0; self.len + 1];
+        for &s in self.succs.iter().flatten() {
+            start[s + 1] += 1;
+        }
+        for i in 0..self.len {
+            start[i + 1] += start[i];
+        }
+        let mut list = vec![0; start[self.len]];
+        let mut next = start[..self.len].to_vec();
         for (i, ss) in self.succs.iter().enumerate() {
             for &s in ss {
-                preds[s].push(i);
+                list[next[s]] = i;
+                next[s] += 1;
             }
         }
-        preds
+        Preds { start, list }
     }
 
     /// Loop heads: targets of back edges found by a depth-first search from
@@ -257,6 +283,10 @@ mod tests {
             Cmd::Return(Expr::pvar("i")),
         ];
         let cfg = Cfg::new(&body);
+        let preds = cfg.preds();
+        let pred_lists: Vec<&[usize]> = (0..body.len()).map(|i| &preds[i]).collect();
+        let want: [&[usize]; 5] = [&[], &[0, 3], &[1], &[2], &[1]];
+        assert_eq!(pred_lists, want);
         let heads = cfg.loop_heads();
         assert!(heads[1], "{heads:?}");
         assert_eq!(cfg.cyclic_sccs(), vec![vec![1, 2, 3]]);

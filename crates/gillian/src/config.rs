@@ -157,6 +157,11 @@ impl<S: StateModel> Config<S> {
 
     /// Finds the index of a folded predicate whose name matches and whose
     /// leading `num_ins` arguments are provably equal to `ins`.
+    ///
+    /// Each argument pair asks the congruence closure first: most matches
+    /// hold through asserted equalities alone, and a yes from the closure
+    /// implies `must_equal`, so only the pairs it cannot settle cost a
+    /// query.
     pub fn find_folded(&self, name: Symbol, ins: &[Expr], num_ins: usize) -> Option<usize> {
         self.folded.iter().position(|fp| {
             if fp.name != name || fp.args.len() < num_ins || ins.len() < num_ins {
@@ -165,7 +170,7 @@ impl<S: StateModel> Config<S> {
             fp.args[..num_ins]
                 .iter()
                 .zip(ins[..num_ins].iter())
-                .all(|(a, b)| self.ctx.must_equal(a, b))
+                .all(|(a, b)| self.ctx.congruent(a, b) || self.ctx.must_equal(a, b))
         })
     }
 
@@ -245,6 +250,27 @@ mod tests {
         });
         let idx = cfg.find_folded(Symbol::new("p"), &[b], 1);
         assert_eq!(idx, Some(0));
+    }
+
+    #[test]
+    fn find_folded_through_an_equality_chain_asks_no_query() {
+        let mut cfg = config();
+        let a = cfg.fresh();
+        let b = cfg.fresh();
+        let c = cfg.fresh();
+        assert!(cfg.assume(Expr::eq(a.clone(), b.clone())));
+        assert!(cfg.assume(Expr::eq(b, c.clone())));
+        cfg.folded.push(FoldedPred {
+            name: Symbol::new("p"),
+            args: vec![a],
+        });
+        let queries = |cfg: &Config<EmptyState>| {
+            let st = cfg.ctx.stats();
+            st.unsat_queries + st.entailment_queries
+        };
+        let before = queries(&cfg);
+        assert_eq!(cfg.find_folded(Symbol::new("p"), &[c], 1), Some(0));
+        assert_eq!(queries(&cfg), before, "the closure settles a = b = c");
     }
 
     #[test]

@@ -1,43 +1,36 @@
-//! Pass 1 + 2: CFG construction and def-use dataflow over procedure bodies.
+//! Pass 1 + 2: control flow and def-use dataflow over procedure bodies.
 //!
 //! GIL control flow is fully determined by command indices: `Goto`/`GotoIf`
-//! jump, `Return`/`Fail` terminate, everything else falls through. That makes
-//! the CFG trivial to build and the two classic dataflow analyses (forward
-//! definite-assignment, backward liveness) cheap enough to run on every
-//! `load`/`update_fn` request.
+//! jump, `Return`/`Fail` terminate, everything else falls through, so the
+//! shared [`Cfg`] is the whole graph. The two classic dataflow analyses
+//! (forward definite assignment, backward liveness) run as worklists over
+//! bitsets: the procedure's variables are numbered once, and each command's
+//! reads and definition are computed once, before either fixpoint starts.
 
 use crate::{ItemKind, LintDiagnostic, LintSpan, Severity};
 use gillian_engine::cfg::Cfg;
-use gillian_engine::gil::{Cmd, LogicCmd, Proc};
+use gillian_engine::gil::{Cmd, Proc};
 use gillian_solver::{Expr, Symbol};
-use std::collections::BTreeSet;
+use std::collections::VecDeque;
 
-pub(crate) fn visit_logic_cmd_exprs(l: &LogicCmd, f: &mut impl FnMut(&Expr)) {
-    l.visit_exprs(f)
-}
+#[cfg(test)]
+mod reference;
 
-/// Program variables read by a command. `Return` additionally reads every
-/// parameter: specification postconditions are evaluated against the final
-/// variable store, so parameter values stay observable to the end.
-fn reads(cmd: &Cmd, params: &[Symbol]) -> BTreeSet<Symbol> {
-    let mut out = BTreeSet::new();
-    let mut add = |e: &Expr| out.extend(e.pvars());
-    match cmd {
-        Cmd::Assign(_, e) => add(e),
-        Cmd::Action { args, .. } | Cmd::Call { args, .. } => {
-            for a in args {
-                add(a);
+/// Calls `f` on every program variable a command reads, repeats included.
+/// `Return` additionally reads every parameter: specification
+/// postconditions are evaluated against the final variable store, so
+/// parameter values stay observable to the end.
+fn visit_reads(cmd: &Cmd, params: &[Symbol], f: &mut impl FnMut(Symbol)) {
+    cmd.visit_exprs(&mut |e| {
+        e.visit(&mut |sub| {
+            if let Expr::PVar(x) = sub {
+                f(*x);
             }
-        }
-        Cmd::GotoIf { guard, .. } => add(guard),
-        Cmd::Logic(l) => visit_logic_cmd_exprs(l, &mut |e| out.extend(e.pvars())),
-        Cmd::Return(e) => {
-            add(e);
-            out.extend(params.iter().copied());
-        }
-        Cmd::Goto(_) | Cmd::Fail(_) | Cmd::Skip => {}
+        })
+    });
+    if let Cmd::Return(_) = cmd {
+        params.iter().for_each(|&p| f(p));
     }
-    out
 }
 
 /// The program variable a command assigns, if any.
@@ -49,8 +42,58 @@ fn def(cmd: &Cmd) -> Option<Symbol> {
     }
 }
 
-/// Runs the control-flow and def-use passes over one procedure.
-pub(crate) fn lint_proc_flow(proc: &Proc) -> Vec<LintDiagnostic> {
+/// One variable bitset per command, stored row after row in `words`-word
+/// chunks of a single vector.
+struct BitRows {
+    words: usize,
+    bits: Vec<u64>,
+}
+
+impl BitRows {
+    /// `len` rows, each a copy of `row`.
+    fn filled(len: usize, row: &[u64]) -> BitRows {
+        BitRows {
+            words: row.len(),
+            bits: row.repeat(len),
+        }
+    }
+
+    fn row(&self, i: usize) -> &[u64] {
+        &self.bits[i * self.words..(i + 1) * self.words]
+    }
+
+    fn row_mut(&mut self, i: usize) -> &mut [u64] {
+        &mut self.bits[i * self.words..(i + 1) * self.words]
+    }
+
+    fn contains(&self, i: usize, v: usize) -> bool {
+        (self.row(i)[v / 64] & (1 << (v % 64))) != 0
+    }
+}
+
+fn insert(row: &mut [u64], v: usize) {
+    row[v / 64] |= 1 << (v % 64);
+}
+
+/// The variable numbers whose bits are set in `row`, in increasing order.
+fn members(row: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    row.iter().enumerate().flat_map(|(w, &word)| {
+        (0..64usize)
+            .filter(move |b| (word & (1 << b)) != 0)
+            .map(move |b| w * 64 + b)
+    })
+}
+
+/// Pushes `i` onto the worklist unless it is already queued.
+fn enqueue(work: &mut VecDeque<usize>, queued: &mut [bool], i: usize) {
+    if !std::mem::replace(&mut queued[i], true) {
+        work.push_back(i);
+    }
+}
+
+/// Runs the control-flow and def-use passes over one procedure, given its
+/// control-flow graph.
+pub(crate) fn lint_proc_flow(proc: &Proc, cfg: &Cfg) -> Vec<LintDiagnostic> {
     let name = proc.name.as_str();
     let len = proc.body.len();
     let mut diags = Vec::new();
@@ -68,7 +111,6 @@ pub(crate) fn lint_proc_flow(proc: &Proc) -> Vec<LintDiagnostic> {
     // GL001: out-of-range targets. The shared CFG builder records and drops
     // invalid edges, so the reachability and dataflow passes below always
     // run on a well-formed graph.
-    let cfg = Cfg::new(&proc.body);
     for &(i, t) in &cfg.out_of_range {
         diags.push(LintDiagnostic::new(
             "GL001",
@@ -120,44 +162,67 @@ pub(crate) fn lint_proc_flow(proc: &Proc) -> Vec<LintDiagnostic> {
         }
     }
 
-    // Predecessor lists for the forward pass.
-    let preds = cfg.preds();
-
-    // Forward definite-assignment: in[i] = ∩ out[p] over predecessors,
-    // out[i] = in[i] ∪ def(i); the entry is seeded with the parameters.
-    // Bodies are small (tens of commands), so a dense fixpoint is fine.
-    let params: BTreeSet<Symbol> = proc.params.iter().copied().collect();
-    let all_vars: BTreeSet<Symbol> = {
-        let mut vs = params.clone();
-        vs.extend(proc.body.iter().filter_map(def));
-        vs
+    // Number the variables once: parameters, definitions and every read,
+    // sorted so that a variable's number is a binary search away.
+    let mut read_vars: Vec<Symbol> = Vec::with_capacity(2 * len);
+    let mut read_ends: Vec<usize> = Vec::with_capacity(len);
+    for cmd in &proc.body {
+        visit_reads(cmd, &proc.params, &mut |x| read_vars.push(x));
+        read_ends.push(read_vars.len());
+    }
+    let mut vars: Vec<Symbol> = Vec::with_capacity(proc.params.len() + read_vars.len() + len);
+    vars.extend(&proc.params);
+    vars.extend(&read_vars);
+    vars.extend(proc.body.iter().filter_map(def));
+    vars.sort_unstable();
+    vars.dedup();
+    let number = |x: Symbol| {
+        vars.binary_search(&x)
+            .expect("every variable the body mentions is numbered")
     };
-    let mut assigned_in: Vec<BTreeSet<Symbol>> = vec![all_vars.clone(); len];
-    assigned_in[0] = params.clone();
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for i in 0..len {
-            if !reachable[i] {
-                continue;
+    let empty = vec![0u64; vars.len() / 64 + 1];
+    let defs: Vec<Option<usize>> = proc.body.iter().map(|c| def(c).map(number)).collect();
+    let mut reads = BitRows::filled(len, &empty);
+    let mut start = 0;
+    for (i, &end) in read_ends.iter().enumerate() {
+        for &x in &read_vars[start..end] {
+            insert(reads.row_mut(i), number(x));
+        }
+        start = end;
+    }
+    let mut params = empty.clone();
+    for &p in &proc.params {
+        insert(&mut params, number(p));
+    }
+
+    // Forward definite assignment, the greatest fixpoint of
+    // in[i] = ∩ (in[p] ∪ def(p)) over reachable predecessors, with the
+    // entry seeded by the parameters. Every row starts at the parameters
+    // and definitions; a command is revisited only when its row shrank.
+    let mut top = params.clone();
+    for &d in defs.iter().flatten() {
+        insert(&mut top, d);
+    }
+    let mut assigned = BitRows::filled(len, &top);
+    assigned.row_mut(0).copy_from_slice(&params);
+    let mut work: VecDeque<usize> = VecDeque::with_capacity(len);
+    let mut queued = vec![false; len];
+    enqueue(&mut work, &mut queued, 0);
+    let mut row = top;
+    while let Some(i) = work.pop_front() {
+        queued[i] = false;
+        row.copy_from_slice(assigned.row(i));
+        if let Some(d) = defs[i] {
+            insert(&mut row, d);
+        }
+        for &s in &succs[i] {
+            let mut shrank = false;
+            for (a, o) in assigned.row_mut(s).iter_mut().zip(&row) {
+                shrank |= (*a & !o) != 0;
+                *a &= o;
             }
-            let mut inn: Option<BTreeSet<Symbol>> =
-                if i == 0 { Some(params.clone()) } else { None };
-            for &p in &preds[i] {
-                if !reachable[p] {
-                    continue;
-                }
-                let mut out_p = assigned_in[p].clone();
-                out_p.extend(def(&proc.body[p]));
-                inn = Some(match inn {
-                    None => out_p,
-                    Some(acc) => acc.intersection(&out_p).copied().collect(),
-                });
-            }
-            let inn = inn.unwrap_or_else(|| params.clone());
-            if inn != assigned_in[i] {
-                assigned_in[i] = inn;
-                changed = true;
+            if shrank {
+                enqueue(&mut work, &mut queued, s);
             }
         }
     }
@@ -167,13 +232,17 @@ pub(crate) fn lint_proc_flow(proc: &Proc) -> Vec<LintDiagnostic> {
         if !reachable[i] {
             continue;
         }
-        let read_here = reads(cmd, &proc.params);
-        let mut unassigned: Vec<&str> = read_here
-            .difference(&assigned_in[i])
-            .map(|s| s.as_str())
-            .collect();
-        unassigned.sort_unstable();
-        for v in unassigned {
+        let mut any = false;
+        for ((u, r), a) in row.iter_mut().zip(reads.row(i)).zip(assigned.row(i)) {
+            *u = r & !a;
+            any |= *u != 0;
+        }
+        if !any {
+            continue;
+        }
+        let mut names: Vec<&str> = members(&row).map(|v| vars[v].as_str()).collect();
+        names.sort_unstable();
+        for v in names {
             diags.push(LintDiagnostic::new(
                 "GL011",
                 Severity::Error,
@@ -183,39 +252,51 @@ pub(crate) fn lint_proc_flow(proc: &Proc) -> Vec<LintDiagnostic> {
         }
     }
 
-    // Backward liveness for GL012. Only pure `Assign` commands are
-    // candidates: `Action`/`Call` left-hand sides carry effects regardless of
-    // whether the result is read. Underscore-prefixed names opt out, matching
-    // the compiler's convention for intentionally-unused locals.
-    let mut live_in: Vec<BTreeSet<Symbol>> = vec![BTreeSet::new(); len];
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for i in (0..len).rev() {
-            let mut live: BTreeSet<Symbol> = BTreeSet::new();
-            for &s in &succs[i] {
-                live.extend(live_in[s].iter().copied());
+    // Backward liveness for GL012, the least fixpoint of
+    // live[i] = reads(i) ∪ (∪ live[s] over successors \ def(i)), over the
+    // reachable commands (their successors are reachable too). Every
+    // reachable command is visited once; after that, a command is revisited
+    // only when a successor's row grew.
+    let preds = cfg.preds();
+    let mut live = BitRows::filled(len, &empty);
+    work.extend((0..len).rev().filter(|&i| reachable[i]));
+    queued.copy_from_slice(reachable);
+    while let Some(i) = work.pop_front() {
+        queued[i] = false;
+        row.fill(0);
+        for &s in &succs[i] {
+            for (r, l) in row.iter_mut().zip(live.row(s)) {
+                *r |= l;
             }
-            if let Some(d) = def(&proc.body[i]) {
-                live.remove(&d);
-            }
-            live.extend(reads(&proc.body[i], &proc.params));
-            if live != live_in[i] {
-                live_in[i] = live;
-                changed = true;
+        }
+        if let Some(d) = defs[i] {
+            row[d / 64] &= !(1 << (d % 64));
+        }
+        for (r, rd) in row.iter_mut().zip(reads.row(i)) {
+            *r |= rd;
+        }
+        if row != live.row(i) {
+            live.row_mut(i).copy_from_slice(&row);
+            for &p in &preds[i] {
+                if reachable[p] {
+                    enqueue(&mut work, &mut queued, p);
+                }
             }
         }
     }
+
+    // GL012: only pure `Assign` commands are candidates: `Action`/`Call`
+    // left-hand sides carry effects regardless of whether the result is
+    // read. Underscore-prefixed names opt out, matching the compiler's
+    // convention for intentionally-unused locals.
     for (i, cmd) in proc.body.iter().enumerate() {
         if !reachable[i] {
             continue;
         }
         if let Cmd::Assign(x, _) = cmd {
-            if x.as_str().starts_with('_') {
-                continue;
-            }
-            let live_out = succs[i].iter().any(|&s| live_in[s].contains(x));
-            if !live_out {
+            let v = number(*x);
+            let live_out = succs[i].iter().any(|&s| live.contains(s, v));
+            if !live_out && !x.as_str().starts_with('_') {
                 diags.push(LintDiagnostic::new(
                     "GL012",
                     Severity::Warning,
@@ -232,15 +313,21 @@ pub(crate) fn lint_proc_flow(proc: &Proc) -> Vec<LintDiagnostic> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gillian_engine::gil::LogicCmd;
+    use gillian_engine::Asrt;
+
+    fn flow(proc: &Proc) -> Vec<LintDiagnostic> {
+        lint_proc_flow(proc, &Cfg::new(&proc.body))
+    }
 
     fn codes(proc: &Proc) -> Vec<&'static str> {
-        lint_proc_flow(proc).into_iter().map(|d| d.code).collect()
+        flow(proc).into_iter().map(|d| d.code).collect()
     }
 
     #[test]
     fn out_of_range_goto_is_gl001() {
         let p = Proc::new("f", &[], vec![Cmd::Goto(9)]);
-        let diags = lint_proc_flow(&p);
+        let diags = flow(&p);
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].code, "GL001");
         assert_eq!(diags[0].span.index, Some(0));
@@ -257,7 +344,7 @@ mod tests {
                 Cmd::Return(Expr::Int(1)),
             ],
         );
-        let diags = lint_proc_flow(&p);
+        let diags = flow(&p);
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].code, "GL002");
         assert_eq!(diags[0].span.index, Some(1));
@@ -295,7 +382,7 @@ mod tests {
                 Cmd::Return(Expr::pvar("t")),
             ],
         );
-        let diags = lint_proc_flow(&p);
+        let diags = flow(&p);
         assert!(
             diags
                 .iter()
@@ -356,6 +443,157 @@ mod tests {
                 Cmd::Return(Expr::pvar("i")),
             ],
         );
-        assert!(codes(&p).is_empty(), "{:?}", lint_proc_flow(&p));
+        assert!(codes(&p).is_empty(), "{:?}", flow(&p));
+    }
+
+    /// A tiny deterministic linear congruential generator.
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self
+                .0
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (self.0 >> 33) % n
+        }
+    }
+
+    /// What a random body draws from. The first three variables can be
+    /// parameters and `_t` opts out of GL012.
+    struct Shape {
+        vars: Vec<Symbol>,
+        max_len: u64,
+        max_args: u64,
+    }
+
+    /// Six variables, up to 12 commands and up to 3 call arguments.
+    fn narrow() -> Shape {
+        let vars = ["p", "q", "x", "y", "z", "_t"].map(Symbol::new).to_vec();
+        Shape {
+            vars,
+            max_len: 12,
+            max_args: 3,
+        }
+    }
+
+    /// 150 more variables, up to 80 commands and up to 16 call arguments:
+    /// a long body numbers more than 64 variables, so its bitset rows span
+    /// several words.
+    fn wide() -> Shape {
+        let mut shape = narrow();
+        shape
+            .vars
+            .extend((0..150).map(|k| Symbol::new(&format!("w{k}"))));
+        shape.max_len = 80;
+        shape.max_args = 16;
+        shape
+    }
+
+    fn var(g: &mut Lcg, vars: &[Symbol]) -> Symbol {
+        vars[g.below(vars.len() as u64) as usize]
+    }
+
+    /// A random expression over the program variables, small integers and
+    /// one logical variable (which no dataflow fact mentions).
+    fn expr(g: &mut Lcg, vars: &[Symbol], depth: u32) -> Expr {
+        let sub = |g: &mut Lcg| expr(g, vars, depth - 1);
+        match g.below(if depth == 0 { 4 } else { 7 }) {
+            0 => Expr::Int(g.below(3) as i128),
+            1 => Expr::lvar("l"),
+            2 | 3 => Expr::PVar(var(g, vars)),
+            4 => Expr::add(sub(g), sub(g)),
+            5 => Expr::lt(sub(g), sub(g)),
+            _ => Expr::not(sub(g)),
+        }
+    }
+
+    /// A random command of a body of `len` commands. Jump targets reach
+    /// two past the end, so some are out of range; backward jumps make
+    /// loops, and commands after a jump or a return are often unreachable.
+    fn cmd(g: &mut Lcg, shape: &Shape, len: usize) -> Cmd {
+        let vars = &shape.vars[..];
+        let target = |g: &mut Lcg| g.below(len as u64 + 2) as usize;
+        let e = |g: &mut Lcg, depth| expr(g, vars, depth);
+        match g.below(13) {
+            0..=2 => Cmd::Assign(var(g, vars), e(g, 2)),
+            3 => Cmd::Action {
+                lhs: var(g, vars),
+                name: Symbol::new("load"),
+                args: vec![e(g, 1)],
+            },
+            4 => Cmd::Call {
+                lhs: var(g, vars),
+                proc: Symbol::new("callee"),
+                args: (0..g.below(shape.max_args + 1)).map(|_| e(g, 1)).collect(),
+            },
+            5 => Cmd::Goto(target(g)),
+            6 | 7 => Cmd::GotoIf {
+                guard: e(g, 2),
+                then_target: target(g),
+                else_target: target(g),
+            },
+            8 | 9 => Cmd::Return(e(g, 1)),
+            10 => Cmd::Fail("boom".to_string()),
+            11 => Cmd::Skip,
+            _ => Cmd::Logic(match g.below(3) {
+                0 => LogicCmd::Assume(e(g, 2)),
+                1 => LogicCmd::Assert(Asrt::Pure(e(g, 2))),
+                _ => LogicCmd::Fold(Symbol::new("pred"), vec![e(g, 1), e(g, 1)]),
+            }),
+        }
+    }
+
+    /// A random procedure: up to three parameters and up to the shape's
+    /// length, empty bodies included.
+    fn body(g: &mut Lcg, shape: &Shape) -> Proc {
+        let mask = g.below(8);
+        let params: Vec<&str> = (0..3)
+            .filter(|b| mask & (1 << b) != 0)
+            .map(|b| shape.vars[b].as_str())
+            .collect();
+        let len = g.below(shape.max_len + 1) as usize;
+        let body = (0..len).map(|_| cmd(g, shape, len)).collect();
+        Proc::new("f", &params, body)
+    }
+
+    /// The number of distinct program variables a procedure mentions.
+    fn var_count(p: &Proc) -> usize {
+        let mut vs: std::collections::BTreeSet<Symbol> = p.params.iter().copied().collect();
+        for c in &p.body {
+            vs.extend(def(c));
+            c.visit_exprs(&mut |e| vs.extend(e.pvars()));
+        }
+        vs.len()
+    }
+
+    #[test]
+    fn flow_oracle_matches_round_robin_reference() {
+        const BODIES: usize = 3_000;
+        let (narrow, wide) = (narrow(), wide());
+        let mut g = Lcg(0x5eed_f10e);
+        let mut seen: std::collections::BTreeMap<&str, usize> = Default::default();
+        let mut multi_word = 0;
+        for n in 0..BODIES {
+            // Every fourth body has the wide shape.
+            let p = body(&mut g, if n % 4 == 0 { &wide } else { &narrow });
+            let got = flow(&p);
+            let want = reference::lint_proc_flow(&p);
+            assert_eq!(got, want, "body {n}: {:?} {:#?}", p.params, p.body);
+            for d in got {
+                *seen.entry(d.code).or_default() += 1;
+            }
+            multi_word += usize::from(var_count(&p) > 64);
+        }
+        // The oracle is only as strong as what the bodies exercise: every
+        // code of both passes must fire, and rows must span several words.
+        for code in ["GL001", "GL002", "GL003", "GL011", "GL012"] {
+            let count = seen.get(code).copied().unwrap_or(0);
+            assert!(count >= 100, "{code} fired {count} times: {seen:?}");
+        }
+        assert!(
+            multi_word >= 100,
+            "{multi_word} bodies number over 64 variables"
+        );
     }
 }

@@ -34,7 +34,13 @@
 //! spec — the daemon's `update_spec` gate), [`lint_proc`] (one procedure —
 //! the daemon's `update_fn` gate).
 
-use gillian_engine::gil::Prog;
+// Lint runs on every session build and daemon edit, so copying a set or a
+// state that is never used again is a cost every caller pays; this lint
+// catches such a clone.
+#![warn(clippy::redundant_clone)]
+
+use gillian_engine::cfg::Cfg;
+use gillian_engine::gil::{Proc, Prog};
 use std::collections::BTreeSet;
 use std::fmt;
 use std::time::Duration;
@@ -323,7 +329,7 @@ fn sorted_names<T>(map: &std::collections::HashMap<gillian_solver::Symbol, T>) -
     entries.into_iter().map(|(_, v)| v).collect()
 }
 
-/// Lints a whole program: all five passes over every procedure, predicate,
+/// Lints a whole program: all six passes over every procedure, predicate,
 /// specification and lemma.
 ///
 /// Reads the program's registries directly (never through the recording
@@ -332,9 +338,7 @@ fn sorted_names<T>(map: &std::collections::HashMap<gillian_solver::Symbol, T>) -
 pub fn lint_prog(prog: &Prog, opts: &LintOptions) -> LintReport {
     let mut diags = Vec::new();
     for proc in sorted_names(&prog.procs) {
-        diags.extend(flow::lint_proc_flow(proc));
-        diags.extend(resolve::check_proc(prog, proc, opts));
-        diags.extend(semantic::lint_proc_semantic(proc));
+        diags.extend(lint_body(prog, proc, opts));
     }
     for pred in sorted_names(&prog.preds) {
         diags.extend(resolve::check_pred(prog, pred));
@@ -381,10 +385,18 @@ pub fn lint_proc(prog: &Prog, name: &str, opts: &LintOptions) -> Vec<LintDiagnos
     let Some(proc) = prog.procs.get(&sym) else {
         return Vec::new();
     };
-    let mut diags = flow::lint_proc_flow(proc);
+    apply_allow(lint_body(prog, proc, opts), opts)
+}
+
+/// The passes over one procedure body — control flow, def-use dataflow,
+/// symbol resolution and the semantic checks — sharing one control-flow
+/// graph.
+fn lint_body(prog: &Prog, proc: &Proc, opts: &LintOptions) -> Vec<LintDiagnostic> {
+    let cfg = Cfg::new(&proc.body);
+    let mut diags = flow::lint_proc_flow(proc, &cfg);
     diags.extend(resolve::check_proc(prog, proc, opts));
-    diags.extend(semantic::lint_proc_semantic(proc));
-    apply_allow(diags, opts)
+    diags.extend(semantic::lint_proc_semantic(proc, &cfg));
+    diags
 }
 
 #[cfg(test)]

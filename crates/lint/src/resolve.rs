@@ -223,7 +223,7 @@ pub(crate) fn check_lemma(prog: &Prog, lemma: &Lemma, opts: &LintOptions) -> Vec
         for (i, l) in proof.iter().enumerate() {
             let span = LintSpan::at(ItemKind::Lemma, name, i);
             check_logic_cmd(prog, l, &span, opts, &mut out);
-            super::flow::visit_logic_cmd_exprs(l, &mut |e| used.extend(e.lvars()));
+            l.visit_exprs(&mut |e| used.extend(e.lvars()));
         }
     }
     let mut unused: Vec<&str> = lemma

@@ -9,7 +9,8 @@
 //! comes from the shared [`crate::CODES`] table.
 
 use crate::{ItemKind, LintDiagnostic, LintSpan, Severity};
-use gillian_absint::{analyze_proc, semantic_findings, AnalysisOptions};
+use gillian_absint::{fixpoint, semantic_findings, AnalysisOptions};
+use gillian_engine::cfg::Cfg;
 use gillian_engine::gil::Proc;
 
 fn severity_of(code: &str) -> Severity {
@@ -20,10 +21,12 @@ fn severity_of(code: &str) -> Severity {
         .unwrap_or(Severity::Warning)
 }
 
-/// Runs the GL05x detectors over one procedure.
-pub(crate) fn lint_proc_semantic(proc: &Proc) -> Vec<LintDiagnostic> {
-    let inv = analyze_proc(proc, &AnalysisOptions::default());
-    semantic_findings(proc, &inv)
+/// Runs the GL05x detectors over one procedure, given its control-flow
+/// graph. Only the fixpoint runs: nothing here reads the invariants'
+/// fingerprint, so it is never computed.
+pub(crate) fn lint_proc_semantic(proc: &Proc, cfg: &Cfg) -> Vec<LintDiagnostic> {
+    let entry = fixpoint(proc, cfg, &AnalysisOptions::default());
+    semantic_findings(proc, cfg, &entry)
         .into_iter()
         .map(|f| {
             LintDiagnostic::new(
@@ -59,7 +62,7 @@ mod tests {
                 Cmd::Return(Expr::Int(1)),
             ],
         );
-        let diags = lint_proc_semantic(&p);
+        let diags = lint_proc_semantic(&p, &Cfg::new(&p.body));
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].code, "GL054");
         assert_eq!(diags[0].severity, Severity::Warning);
@@ -85,7 +88,7 @@ mod tests {
                 Cmd::Return(Expr::pvar("q")),
             ],
         );
-        let diags = lint_proc_semantic(&p);
+        let diags = lint_proc_semantic(&p, &Cfg::new(&p.body));
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].code, "GL052");
         assert_eq!(diags[0].severity, Severity::Error);

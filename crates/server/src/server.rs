@@ -515,16 +515,20 @@ impl ServerCore {
 
     fn do_update_fn(&mut self, func: &str) -> Result<Vec<(String, Value)>, DispatchError> {
         let loaded = self.loaded()?;
-        let sym = Symbol::new(func);
-        if !loaded
-            .db
-            .session
-            .verifier()
-            .engine
-            .prog
-            .procs
-            .contains_key(&sym)
-        {
+        // Look the name up without interning it: the interner never frees a
+        // name, so interning every unknown name a client sends would grow
+        // the daemon for good.
+        let known = Symbol::lookup(func).is_some_and(|sym| {
+            loaded
+                .db
+                .session
+                .verifier()
+                .engine
+                .prog
+                .procs
+                .contains_key(&sym)
+        });
+        if !known {
             return Err(format!("unknown function {}", quote_clause(func)).into());
         }
         // Automatic linting on the touched procedure: errors reject the

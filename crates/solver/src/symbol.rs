@@ -49,6 +49,18 @@ impl Symbol {
         Symbol(id)
     }
 
+    /// The symbol of `name` if it is already interned. Unlike
+    /// [`Symbol::new`], it never adds a name, so a lookup of text from
+    /// outside the program leaves the table as it was.
+    pub fn lookup(name: &str) -> Option<Symbol> {
+        interner()
+            .lock()
+            .unwrap()
+            .map
+            .get(name)
+            .map(|&id| Symbol(id))
+    }
+
     /// Returns the interned text.
     pub fn as_str(self) -> &'static str {
         interner().lock().unwrap().names[self.0 as usize]
@@ -97,6 +109,15 @@ mod tests {
         assert_ne!(a, c);
         assert_eq!(a.as_str(), "hello");
         assert_eq!(c.as_str(), "world");
+    }
+
+    #[test]
+    fn lookup_finds_interned_names_and_interns_none() {
+        let a = Symbol::new("lookup_finds_interned_names");
+        assert_eq!(Symbol::lookup("lookup_finds_interned_names"), Some(a));
+        // A miss leaves no trace: the second lookup misses too.
+        assert_eq!(Symbol::lookup("lookup_never_interned_this"), None);
+        assert_eq!(Symbol::lookup("lookup_never_interned_this"), None);
     }
 
     #[test]
